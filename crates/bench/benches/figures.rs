@@ -1,40 +1,21 @@
-//! `cargo bench --bench figures` regenerates every paper figure at quick
-//! scale (custom harness — these are end-to-end experiments, not
-//! microbenchmarks; see `benches/micro.rs` for those).
+//! `cargo bench --bench figures` regenerates every registered experiment
+//! at quick scale (custom harness — these are end-to-end experiments, not
+//! microbenchmarks; see `benches/micro.rs` for those). Other scales run
+//! through `repro all --scale <name>`.
 
-use pier_bench::experiments::{
-    ablations, fig8, figs13to15, figs4to7, figs9to12, model_params, sec5_posting, sec7_deploy,
-};
-use pier_bench::Scale;
+use pier_bench::experiments::REGISTRY;
+use pier_bench::{rate_line, RunCtx, Scale};
 
 fn main() {
-    // Respect `cargo bench -- --test` style filters loosely: run all.
-    let scale = Scale::from_env();
-    println!("figures bench: regenerating all paper figures at {scale:?} scale");
+    let ctx = RunCtx::new(Scale::Quick);
+    println!("figures bench: regenerating every experiment at {:?} scale", ctx.scale);
     let t0 = std::time::Instant::now();
-    for t in figs4to7::run(scale, 1) {
-        t.print();
-    }
-    for t in fig8::run(scale, 1).tables {
-        t.print();
-    }
-    for t in figs9to12::run(scale) {
-        t.print();
-    }
-    for t in figs13to15::run(scale) {
-        t.print();
-    }
-    for t in sec5_posting::run(scale) {
-        t.print();
-    }
-    for t in sec7_deploy::run(scale, 1).tables {
-        t.print();
-    }
-    for t in model_params() {
-        t.print();
-    }
-    for t in ablations::run(scale, 1) {
-        t.print();
+    for experiment in REGISTRY {
+        let out = (experiment.run)(&ctx);
+        for t in &out.tables {
+            t.print();
+        }
+        println!("{}", rate_line(experiment.name, &out, ctx.shards));
     }
     println!("\nfigures bench: done in {:.1}s", t0.elapsed().as_secs_f64());
 }

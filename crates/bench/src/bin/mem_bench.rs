@@ -8,34 +8,30 @@
 //! `BENCH_mem.json` at the workspace root (the `kernel_bench` pattern).
 //!
 //! Run with `cargo run -p pier-bench --release --bin mem_bench`.
-//! `--scales quick,sparse,full,metro` selects the rungs (default
-//! `quick,sparse`; `metro` builds a 1.1M-node simulation — 100k
-//! ultrapeers, 1M leaves — and wants a multi-GB host unless
-//! `REPRO_METRO_LITE=1`).
+//! `--scales quick,sparse,full,metro,metro-lite` selects the rungs
+//! (default `quick,sparse`; `metro` builds a 1.1M-node simulation — 100k
+//! ultrapeers, 1M leaves — and wants a multi-GB host; `metro-lite` is its
+//! CI-sized stand-in).
 
+use pier_bench::cli::Flags;
 use pier_bench::lab::Scale;
 use pier_bench::membench::measure;
 use std::io::Write;
 
-fn parse_scales() -> Vec<Scale> {
-    let args: Vec<String> = std::env::args().collect();
-    let spec = args
-        .iter()
-        .position(|a| a == "--scales")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "quick,sparse".to_string());
-    spec.split(',')
-        .map(|s| {
-            Scale::parse(s.trim()).unwrap_or_else(|| {
-                eprintln!("bad scale '{s}' (expected quick, sparse, full, or metro)");
-                std::process::exit(2);
-            })
-        })
-        .collect()
+fn parse_scales() -> Result<Vec<Scale>, String> {
+    let mut flags = Flags::new(std::env::args().skip(1));
+    let scales = flags.value("--scales", "a comma-separated list of scales", |v| {
+        v.split(',').map(|s| Scale::parse(s.trim())).collect::<Option<Vec<_>>>()
+    })?;
+    flags.finish()?;
+    Ok(scales.unwrap_or_else(|| vec![Scale::Quick, Scale::Sparse]))
 }
 
 fn main() {
-    let scales = parse_scales();
+    let scales = parse_scales().unwrap_or_else(|e| {
+        eprintln!("mem_bench: {e}\nusage: mem_bench [--scales quick,sparse,…]");
+        std::process::exit(2);
+    });
     let mut reports = Vec::with_capacity(scales.len());
     for scale in scales {
         eprintln!("building {} lab…", scale.name());

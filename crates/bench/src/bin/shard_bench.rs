@@ -7,7 +7,7 @@
 //! are written to `BENCH_shard.json` at the workspace root so later PRs
 //! have a perf trajectory to compare against.
 //!
-//! Besides the `REPRO_SCALE`-selected rung, every run also times the
+//! Besides the `--scale`-selected rung, every run also times the
 //! `metro-lite` preset — the metro code path (shared share catalog, mixed
 //! profiles, metro experiment arms) at a size a CI box replays in under a
 //! second — so the trajectory always carries a metro-path datapoint.
@@ -18,11 +18,11 @@
 //! meaningful — read the speedup against the recorded core count.
 //!
 //! Run with `cargo run -p pier-bench --release --bin shard_bench`
-//! (`REPRO_SCALE=sparse|full` for bigger replays).
+//! (`-- --scale sparse|full` for bigger replays).
 
+use pier_bench::cli::{self, Flags};
 use pier_bench::experiments::horizon;
-use pier_bench::lab::DEFAULT_SEED;
-use pier_bench::Scale;
+use pier_bench::{RunCtx, Scale};
 use std::io::Write;
 use std::time::Instant;
 
@@ -40,12 +40,12 @@ const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 /// warm-up run before comparing.
 fn replay(scale: Scale, shards: usize) -> Point {
     let t0 = Instant::now();
-    let data = horizon::collect_seeded(scale, DEFAULT_SEED, shards);
+    let out = horizon::run(&RunCtx { shards, ..RunCtx::new(scale) });
     Point {
         shards,
         wall_s: t0.elapsed().as_secs_f64(),
-        events: data.events.processed,
-        total_messages: data.metrics.total_messages,
+        events: out.events.processed,
+        total_messages: out.summary.get("total_messages").expect("traffic stat") as u64,
     }
 }
 
@@ -105,11 +105,16 @@ fn push_keys(results: &mut Vec<(String, f64)>, prefix: &str, points: &[Point]) {
 }
 
 fn main() {
-    let scale = Scale::from_env();
+    let mut flags = Flags::new(std::env::args().skip(1));
+    let scale = cli::scale(&mut flags).and_then(|scale| flags.finish().map(|()| scale));
+    let scale = scale.unwrap_or_else(|e| {
+        eprintln!("shard_bench: {e}\nusage: shard_bench [--scale S]");
+        std::process::exit(2);
+    });
     let host = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
     println!(
         "shard_bench: horizon replay at {scale:?} scale on a {host}-way host \
-         (REPRO_SCALE=sparse|full for bigger runs)"
+         (--scale sparse|full for bigger runs)"
     );
 
     // Warm-up run: pays one-time costs (vocabulary interning, lazy metric
@@ -123,7 +128,7 @@ fn main() {
     let speedup4 = points[0].wall_s / points[2].wall_s.max(1e-9);
     println!("\nspeedup vs 1 shard: 2 shards {speedup2:.2}x, 4 shards {speedup4:.2}x");
 
-    // The metro-path datapoint, always present regardless of REPRO_SCALE.
+    // The metro-path datapoint, always present regardless of `--scale`.
     let lite_points = if scale == Scale::MetroLite {
         None
     } else {

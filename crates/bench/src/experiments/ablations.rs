@@ -11,10 +11,11 @@
 use crate::lab::Scale;
 use crate::output::{f, s, Table};
 use crate::sweep::Summary;
+use crate::{add_events, Lap, Outcome, Replay, RunCtx};
 use pier_dht::DhtConfig;
 use pier_gnutella::{spawn, FileMeta, QueryOrigin, Topology, TopologyConfig, UltrapeerNode};
 use pier_hybrid::{deploy, HybridConfig, HybridUp, RareScheme};
-use pier_netsim::{Sim, SimConfig, SimDuration, UniformLatency};
+use pier_netsim::{EventStats, SimConfig, SimDuration, UniformLatency};
 use pier_workload::{Catalog, CatalogConfig, QueryConfig, QueryTrace};
 
 /// Master seeds the single-run entry points use (sweeps pass per-trial
@@ -29,13 +30,6 @@ pub struct TimeoutPoint {
     pub avg_first_result_s: f64,
     pub pct_queries_to_dht: f64,
     pub found_pct: f64,
-}
-
-/// Sweep the hybrid Gnutella-timeout and measure, per setting: average
-/// time-to-first-result over rare queries, and the fraction of queries
-/// re-issued into the DHT (the extra load the timeout gates).
-pub fn timeout_sweep(scale: Scale, shards: usize) -> Table {
-    timeout_table(&timeout_points(scale, TIMEOUT_SEED, shards))
 }
 
 /// Render the timeout sweep as a table.
@@ -55,23 +49,24 @@ pub fn timeout_table(points: &[TimeoutPoint]) -> Table {
     t
 }
 
-/// The timeout sweep proper, seeded.
-pub fn timeout_points(scale: Scale, seed: u64, shards: usize) -> Vec<TimeoutPoint> {
-    let (ups, hybrid_ups, leaves, distinct, queries) = match scale {
+/// Sweep the hybrid Gnutella-timeout and measure, per setting: average
+/// time-to-first-result over rare queries, and the fraction of queries
+/// re-issued into the DHT (the extra load the timeout gates). Also returns
+/// the kernel accounting of the sweep's simulations.
+pub fn timeout_points(ctx: &RunCtx, seed: u64) -> (Vec<TimeoutPoint>, EventStats, Replay) {
+    let (ups, hybrid_ups, leaves, distinct, queries) = match ctx.scale {
         Scale::Quick | Scale::Sparse => (80usize, 16usize, 1_600usize, 3_200usize, 60usize),
         Scale::Full => (240, 48, 4_800, 9_600, 200),
         Scale::Metro | Scale::MetroLite => (480, 96, 9_600, 19_200, 300),
     };
     let timeouts_s = [5u64, 10, 20, 30, 45];
     let mut out = Vec::with_capacity(timeouts_s.len());
+    let (mut events, mut replay) = (EventStats::default(), Replay::default());
     for &timeout in &timeouts_s {
-        let cfg = SimConfig::with_seed(seed + timeout)
-            .latency(UniformLatency::new(
-                SimDuration::from_millis(20),
-                SimDuration::from_millis(80),
-            ))
-            .shards(shards);
-        let mut sim = Sim::new(cfg);
+        let mut sim = ctx.sim(SimConfig::with_seed(seed + timeout).latency(UniformLatency::new(
+            SimDuration::from_millis(20),
+            SimDuration::from_millis(80),
+        )));
         let topo = Topology::generate(&TopologyConfig {
             ultrapeers: ups,
             leaves,
@@ -119,6 +114,7 @@ pub fn timeout_points(scale: Scale, seed: u64, shards: usize) -> Vec<TimeoutPoin
         );
         // Index via BrowseHost, then query from hybrid vantages.
         sim.run_for(SimDuration::from_secs(200));
+        let lap = Lap::start(sim.event_stats());
         let mut tracked = Vec::new();
         for (i, q) in trace.queries.iter().enumerate() {
             let v = deployment.hybrid_ups[i % deployment.hybrid_ups.len()];
@@ -130,6 +126,8 @@ pub fn timeout_points(scale: Scale, seed: u64, shards: usize) -> Vec<TimeoutPoin
             sim.run_for(SimDuration::from_millis(800));
         }
         sim.run_for(SimDuration::from_secs(timeout + 120));
+        replay += lap.stop(sim.event_stats());
+        add_events(&mut events, sim.event_stats());
 
         let mut first = Vec::new();
         let mut to_dht = 0u64;
@@ -156,7 +154,7 @@ pub fn timeout_points(scale: Scale, seed: u64, shards: usize) -> Vec<TimeoutPoin
             found_pct: 100.0 * found as f64 / n,
         });
     }
-    out
+    (out, events, replay)
 }
 
 /// One (strategy, query) measurement from the flood-vs-dynamic ablation.
@@ -167,12 +165,6 @@ pub struct StrategyPoint {
     pub messages: u64,
     pub results: usize,
     pub first_result_s: Option<f64>,
-}
-
-/// Flat TTL-4 flooding vs. dynamic querying: message cost and recall for a
-/// popular and a rare query, from the same vantage.
-pub fn flood_vs_dynamic(scale: Scale, shards: usize) -> Table {
-    flood_table(&flood_points(scale, FLOOD_SEED, shards))
 }
 
 /// Render the flood-vs-dynamic ablation as a table.
@@ -193,22 +185,22 @@ pub fn flood_table(points: &[StrategyPoint]) -> Table {
     t
 }
 
-/// The flood-vs-dynamic measurements, seeded.
-pub fn flood_points(scale: Scale, seed: u64, shards: usize) -> Vec<StrategyPoint> {
-    let (ups, leaves) = match scale {
+/// Flat TTL-4 flooding vs. dynamic querying: message cost and recall for a
+/// popular and a rare query, from the same vantage. Also returns the
+/// kernel accounting of both simulations.
+pub fn flood_points(ctx: &RunCtx, seed: u64) -> (Vec<StrategyPoint>, EventStats, Replay) {
+    let (ups, leaves) = match ctx.scale {
         Scale::Quick | Scale::Sparse => (150usize, 3_000usize),
         Scale::Full => (333, 10_000),
         Scale::Metro | Scale::MetroLite => (666, 20_000),
     };
     let mut out = Vec::with_capacity(4);
+    let (mut events, mut replay) = (EventStats::default(), Replay::default());
     for dynamic in [false, true] {
-        let cfg = SimConfig::with_seed(seed)
-            .latency(UniformLatency::new(
-                SimDuration::from_millis(20),
-                SimDuration::from_millis(80),
-            ))
-            .shards(shards);
-        let mut sim = Sim::new(cfg);
+        let mut sim = ctx.sim(SimConfig::with_seed(seed).latency(UniformLatency::new(
+            SimDuration::from_millis(20),
+            SimDuration::from_millis(80),
+        )));
         let topo = Topology::generate(&TopologyConfig {
             ultrapeers: ups,
             leaves,
@@ -229,6 +221,7 @@ pub fn flood_points(scale: Scale, seed: u64, shards: usize) -> Vec<StrategyPoint
         let handles = spawn(&mut sim, &topo, vec![Vec::new(); ups], leaf_files);
         sim.run_for(SimDuration::from_secs(3));
 
+        let lap = Lap::start(sim.event_stats());
         for (label, terms) in [("popular", "popular evergreen"), ("rare", "rare single copy")] {
             let baseline = sim.metrics().snapshot();
             let vantage = handles.ups[7];
@@ -253,19 +246,24 @@ pub fn flood_points(scale: Scale, seed: u64, shards: usize) -> Vec<StrategyPoint
                 first_result_s: rec.first_hit_at.map(|tm| (tm - issued).as_secs_f64()),
             });
         }
+        replay += lap.stop(sim.event_stats());
+        add_events(&mut events, sim.event_stats());
     }
-    out
+    (out, events, replay)
 }
 
-pub fn run(scale: Scale, shards: usize) -> Vec<Table> {
-    vec![timeout_sweep(scale, shards), flood_vs_dynamic(scale, shards)]
-}
-
-/// One sweep trial: the timeout tradeoff endpoints and the flood/dynamic
-/// message ratio, from seeded topologies and workloads.
-pub fn trial(scale: Scale, seed: u64, shards: usize) -> Summary {
-    let timeouts = timeout_points(scale, seed, shards);
-    let floods = flood_points(scale, pier_netsim::derive_seed(seed, 1), shards);
+/// Both ablations. Single runs use their own master seeds; a sweep trial
+/// derives the flood seed from its master seed. The sweep summary holds
+/// the timeout tradeoff endpoints and the flood/dynamic message ratio.
+pub fn run(ctx: &RunCtx) -> Outcome {
+    let (timeout_seed, flood_seed) = match ctx.seed {
+        None => (TIMEOUT_SEED, FLOOD_SEED),
+        Some(seed) => (seed, pier_netsim::derive_seed(seed, 1)),
+    };
+    let (timeouts, mut events, mut replay) = timeout_points(ctx, timeout_seed);
+    let (floods, flood_events, flood_replay) = flood_points(ctx, flood_seed);
+    add_events(&mut events, flood_events);
+    replay += flood_replay;
     let first = timeouts.first().expect("timeout sweep is non-empty");
     let last = timeouts.last().expect("timeout sweep is non-empty");
     let pick = |dynamic: bool, query: &str| {
@@ -286,7 +284,12 @@ pub fn trial(scale: Scale, seed: u64, shards: usize) -> Summary {
         "flood_over_dynamic_popular",
         pick(false, "popular").messages as f64 / pick(true, "popular").messages.max(1) as f64,
     );
-    s
+    Outcome {
+        tables: vec![timeout_table(&timeouts), flood_table(&floods)],
+        summary: s,
+        events,
+        replay,
+    }
 }
 
 #[cfg(test)]
@@ -295,7 +298,7 @@ mod tests {
 
     #[test]
     fn timeout_tradeoff_shape() {
-        let t = timeout_sweep(Scale::Quick, 1);
+        let t = timeout_table(&timeout_points(&RunCtx::new(Scale::Quick), TIMEOUT_SEED).0);
         assert_eq!(t.rows.len(), 5);
         // Longer timeouts must not send MORE queries to the DHT (more time
         // for Gnutella to produce a first hit).
@@ -313,7 +316,7 @@ mod tests {
 
     #[test]
     fn flood_burns_more_messages_on_popular_queries() {
-        let t = flood_vs_dynamic(Scale::Quick, 1);
+        let t = flood_table(&flood_points(&RunCtx::new(Scale::Quick), FLOOD_SEED).0);
         let get = |strategy: &str, query: &str, col: usize| -> f64 {
             t.rows.iter().find(|r| r[0] == strategy && r[1] == query).unwrap()[col].parse().unwrap()
         };

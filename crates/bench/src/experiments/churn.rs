@@ -27,6 +27,7 @@
 use crate::lab::Scale;
 use crate::output::{f, s, Table};
 use crate::sweep::Summary;
+use crate::{add_events, Lap, Outcome, Replay, RunCtx};
 use pier_churn::{ChurnDriver, ChurnPlan, LifetimeDist, SessionConfig};
 use pier_dht::{
     bootstrap, Contact, DhtApp, DhtConfig, DhtCore, DhtEvent, DhtMsg, DhtNet, DhtNode, Key,
@@ -152,16 +153,17 @@ struct ArmResult {
     publish_kib_node_min: f64,
     metrics: MetricsSnapshot,
     events: EventStats,
+    replay: Replay,
 }
 
 /// Run one arm. Everything derives from `(cfg, master, arm)`; the churn
 /// schedule seed is shared by all churned arms so they face identical
 /// membership dynamics.
-fn run_arm(cfg: &ChurnConfig, master: u64, arm: Arm, shards: usize) -> ArmResult {
-    let sim_cfg = SimConfig::with_seed(derive_seed(master, 0x0A + arm as u64))
-        .latency(UniformLatency::new(SimDuration::from_millis(20), SimDuration::from_millis(80)))
-        .shards(shards);
-    let mut sim: Sim<DhtMsg> = Sim::new(sim_cfg);
+fn run_arm(ctx: &RunCtx, cfg: &ChurnConfig, master: u64, arm: Arm) -> ArmResult {
+    let mut sim: Sim<DhtMsg> =
+        ctx.sim(SimConfig::with_seed(derive_seed(master, 0x0A + arm as u64)).latency(
+            UniformLatency::new(SimDuration::from_millis(20), SimDuration::from_millis(80)),
+        ));
 
     let dht_cfg = DhtConfig {
         k: 8,
@@ -192,6 +194,7 @@ fn run_arm(cfg: &ChurnConfig, master: u64, arm: Arm, shards: usize) -> ArmResult
         sim.add_node(DhtNode::new(core, Probe::default(), None))
     };
     sim.run_for(SimDuration::from_secs(5));
+    let lap = Lap::start(sim.event_stats());
 
     // The corpus: seeded catalog filenames, published from the stable set.
     let catalog = Catalog::generate(CatalogConfig {
@@ -316,12 +319,13 @@ fn run_arm(cfg: &ChurnConfig, master: u64, arm: Arm, shards: usize) -> ArmResult
         publish_kib_node_min,
         metrics: sim.metrics().snapshot(),
         events: sim.event_stats(),
+        replay: lap.stop(sim.event_stats()),
     }
 }
 
-/// All four arms of one trial.
-pub struct ChurnData {
-    pub cfg: ChurnConfig,
+/// All four arms of one run.
+struct ChurnData {
+    cfg: ChurnConfig,
     arms: Vec<(Arm, ArmResult)>,
 }
 
@@ -329,28 +333,14 @@ impl ChurnData {
     fn arm(&self, arm: Arm) -> &ArmResult {
         &self.arms.iter().find(|(a, _)| *a == arm).expect("all arms run").1
     }
-
-    /// Kernel accounting summed over all four arms' simulations.
-    pub fn events(&self) -> EventStats {
-        let mut total = EventStats::default();
-        for (_, r) in &self.arms {
-            total.pending += r.events.pending;
-            total.peak_pending += r.events.peak_pending;
-            total.processed += r.events.processed;
-        }
-        total
-    }
 }
 
-pub fn collect(scale: Scale) -> ChurnData {
-    collect_seeded(scale, crate::lab::DEFAULT_SEED, 1)
-}
-
-/// All four arms with every random choice derived from `master`, each on a
-/// `shards`-way kernel. Results are bit-identical for any shard count.
-pub fn collect_seeded(scale: Scale, master: u64, shards: usize) -> ChurnData {
-    let cfg = ChurnConfig::at(scale);
-    let arms = Arm::ALL.iter().map(|&a| (a, run_arm(&cfg, master, a, shards))).collect();
+/// All four arms, with every random choice derived from the run's seed
+/// (the lab's default seed for single runs).
+fn run_arms(ctx: &RunCtx) -> ChurnData {
+    let cfg = ChurnConfig::at(ctx.scale);
+    let master = ctx.seed.unwrap_or(crate::lab::DEFAULT_SEED);
+    let arms = Arm::ALL.iter().map(|&a| (a, run_arm(ctx, &cfg, master, a))).collect();
     ChurnData { cfg, arms }
 }
 
@@ -359,10 +349,13 @@ pub fn is_monotone_decay(series: &[f64]) -> bool {
     series.windows(2).all(|w| w[1] <= w[0] + 1e-12)
 }
 
-pub fn run(scale: Scale, shards: usize) -> Vec<Table> {
-    let t0 = std::time::Instant::now();
-    let data = collect_seeded(scale, crate::lab::DEFAULT_SEED, shards);
-    crate::report_kernel_rate("churn", data.events(), shards, t0.elapsed());
+/// The recall-over-time curve and the §5 tradeoff table. The sweep
+/// summary is end-of-run recall and bandwidth per arm plus the §5
+/// signature flags — deliberately without the vocab size, because the
+/// interning table is process-global and parallel sweep trials would race
+/// on it.
+pub fn run(ctx: &RunCtx) -> Outcome {
+    let data = run_arms(ctx);
     let mut curve = Table::new(
         "Churn: DHT recall over time (fraction of published files held by a live node)",
         &["t_s", "static", "no_refresh", "refresh_60s", "refresh_30s"],
@@ -391,17 +384,6 @@ pub fn run(scale: Scale, shards: usize) -> Vec<Table> {
             f(r.publish_kib_node_min, 2),
         ]);
     }
-    // The interned-term gauge is printed by `repro`'s footer (the table
-    // stays numeric for CSV consumers).
-    vec![curve, cost]
-}
-
-/// One sweep trial: end-of-run recall and bandwidth per arm, plus the §5
-/// signature flags. Deterministic in `(scale, seed)` — the vocab size is
-/// deliberately *not* reported here, because the interning table is
-/// process-global and parallel sweep trials would race on it.
-pub fn trial(scale: Scale, seed: u64, shards: usize) -> Summary {
-    let data = collect_seeded(scale, seed, shards);
     let end = |arm: Arm| *data.arm(arm).checkpoints.last().unwrap();
     let mut out = Summary::new();
     out.set("recall_static_end", end(Arm::Static));
@@ -419,13 +401,16 @@ pub fn trial(scale: Scale, seed: u64, shards: usize) -> Summary {
     out.set("publish_kib_node_min_refresh_slow", data.arm(Arm::RefreshSlow).publish_kib_node_min);
     out.set("publish_kib_node_min_refresh_fast", data.arm(Arm::RefreshFast).publish_kib_node_min);
     let mut traffic = MetricsSnapshot::default();
+    let (mut events, mut replay) = (EventStats::default(), Replay::default());
     for (_, r) in &data.arms {
         traffic.merge(&r.metrics);
+        add_events(&mut events, r.events);
+        replay += r.replay;
     }
     out.set("total_messages", traffic.total_messages as f64);
     out.set("total_bytes", traffic.total_bytes as f64);
-    out.set("events_processed", data.events().processed as f64);
-    out
+    out.set("events_processed", events.processed as f64);
+    Outcome { tables: vec![curve, cost], summary: out, events, replay }
 }
 
 #[cfg(test)]
@@ -438,7 +423,7 @@ mod tests {
     /// baseline; and refreshing costs strictly more publish bandwidth.
     #[test]
     fn quick_scale_shows_sec5_signature() {
-        let data = collect(Scale::Quick);
+        let data = run_arms(&RunCtx::new(Scale::Quick));
         let st = data.arm(Arm::Static);
         let none = data.arm(Arm::NoRefresh);
         let fast = data.arm(Arm::RefreshFast);
@@ -479,7 +464,7 @@ mod tests {
     /// the bigger overlay, where the fabric-to-stable ratio is harsher.
     #[test]
     fn sparse_scale_shows_sec5_signature() {
-        let t = trial(Scale::Sparse, crate::lab::DEFAULT_SEED, 1);
+        let t = run(&RunCtx::new(Scale::Sparse)).summary;
         assert_eq!(t.get("norefresh_monotone"), Some(1.0));
         let static_end = t.get("recall_static_end").unwrap();
         let none_end = t.get("recall_norefresh_end").unwrap();

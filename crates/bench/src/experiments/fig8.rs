@@ -5,46 +5,30 @@
 use crate::lab::Scale;
 use crate::output::{f, s, Table};
 use crate::sweep::Summary;
+use crate::{Lap, Outcome, RunCtx};
 use pier_gnutella::floodstats::{average_flood_curve, marginal_cost};
 use pier_gnutella::{spawn, Crawler, FileMeta, Topology, TopologyConfig};
-use pier_netsim::{Sim, SimConfig, SimDuration, UniformLatency};
+use pier_netsim::{SimConfig, SimDuration, UniformLatency};
 
 /// The master seed single runs use (sweeps pass per-trial seeds).
 const CRAWL_SEED: u64 = 0xC4A5;
 
-pub struct CrawlOutcome {
-    pub tables: Vec<Table>,
-    pub marginal_rising: bool,
-    pub ups_crawled: usize,
-    pub network_size: usize,
-    pub crawl_duration_s: f64,
-    /// Marginal messages per newly-visited ultrapeer at the first and last
-    /// TTL step with a finite value — the diminishing-returns endpoints.
-    pub marginal_first: f64,
-    pub marginal_last: f64,
-    /// Kernel event-queue accounting of the crawl simulation.
-    pub events: pier_netsim::EventStats,
-}
-
-pub fn run(scale: Scale, shards: usize) -> CrawlOutcome {
-    let t0 = std::time::Instant::now();
-    let out = run_seeded(scale, CRAWL_SEED, shards);
-    crate::report_kernel_rate("fig8", out.events, shards, t0.elapsed());
-    out
-}
-
-pub fn run_seeded(scale: Scale, seed: u64, shards: usize) -> CrawlOutcome {
-    let (ups, leaves) = match scale {
+/// Crawl, the §4.1 snapshot table and the Figure 8 curve. The sweep
+/// summary carries crawl coverage and the flooding-cost endpoints.
+pub fn run(ctx: &RunCtx) -> Outcome {
+    let seed = ctx.seed.unwrap_or(CRAWL_SEED);
+    let (ups, leaves) = match ctx.scale {
         Scale::Quick | Scale::Sparse => (400usize, 4_000usize),
         Scale::Full => (3_333, 96_000),
         // Double the paper's crawl: the shared-catalog layout makes the
         // actor population cheap; messages dominate.
         Scale::Metro | Scale::MetroLite => (6_666, 192_000),
     };
-    let cfg = SimConfig::with_seed(seed)
-        .latency(UniformLatency::new(SimDuration::from_millis(20), SimDuration::from_millis(90)))
-        .shards(shards);
-    let mut sim = Sim::new(cfg);
+    let mut sim =
+        ctx.sim(SimConfig::with_seed(seed).latency(UniformLatency::new(
+            SimDuration::from_millis(20),
+            SimDuration::from_millis(90),
+        )));
     let topo = Topology::generate(&TopologyConfig {
         ultrapeers: ups,
         leaves,
@@ -57,7 +41,9 @@ pub fn run_seeded(scale: Scale, seed: u64, shards: usize) -> CrawlOutcome {
     // Parallel crawl from 30 seeds, like the paper's 30 PlanetLab crawlers.
     let seeds: Vec<_> = handles.ups.iter().copied().step_by((ups / 30).max(1)).collect();
     let crawler = sim.add_node(Crawler::new(seeds, 200));
+    let lap = Lap::start(sim.event_stats());
     sim.run_for(SimDuration::from_secs(600));
+    let replay = lap.stop(sim.event_stats());
     let c = sim.actor::<Crawler>(crawler);
     assert!(c.done(), "crawl did not finish");
     let graph = c.graph.clone();
@@ -102,30 +88,16 @@ pub fn run_seeded(scale: Scale, seed: u64, shards: usize) -> CrawlOutcome {
     let finite: Vec<f64> = mc.iter().copied().filter(|v| v.is_finite()).collect();
     let marginal_rising = finite.len() >= 2 && finite.last().unwrap() > finite.first().unwrap();
 
-    CrawlOutcome {
-        tables: vec![t_crawl, t8],
-        events: sim.event_stats(),
-        marginal_rising,
-        ups_crawled: graph.ultrapeer_count(),
-        network_size: graph.network_size(),
-        crawl_duration_s: duration,
-        marginal_first: finite.first().copied().unwrap_or(f64::NAN),
-        marginal_last: finite.last().copied().unwrap_or(f64::NAN),
-    }
-}
-
-/// One sweep trial: crawl coverage and the flooding-cost endpoints.
-pub fn trial(scale: Scale, seed: u64, shards: usize) -> Summary {
-    let out = run_seeded(scale, seed, shards);
-    let mut s = Summary::new();
-    s.set("ups_crawled", out.ups_crawled as f64);
-    s.set("network_size", out.network_size as f64);
-    s.set("crawl_duration_s", out.crawl_duration_s);
-    s.set("marginal_msgs_per_up_first", out.marginal_first);
-    s.set("marginal_msgs_per_up_last", out.marginal_last);
-    s.set("marginal_rising", out.marginal_rising as u64 as f64);
-    s.set("events_processed", out.events.processed as f64);
-    s
+    let events = sim.event_stats();
+    let mut out = Summary::new();
+    out.set("ups_crawled", graph.ultrapeer_count() as f64);
+    out.set("network_size", graph.network_size() as f64);
+    out.set("crawl_duration_s", duration);
+    out.set("marginal_msgs_per_up_first", finite.first().copied().unwrap_or(f64::NAN));
+    out.set("marginal_msgs_per_up_last", finite.last().copied().unwrap_or(f64::NAN));
+    out.set("marginal_rising", marginal_rising as u64 as f64);
+    out.set("events_processed", events.processed as f64);
+    Outcome { tables: vec![t_crawl, t8], summary: out, events, replay }
 }
 
 #[cfg(test)]
@@ -134,8 +106,12 @@ mod tests {
 
     #[test]
     fn quick_crawl_reproduces_diminishing_returns() {
-        let out = run(Scale::Quick, 1);
-        assert!(out.marginal_rising, "Figure 8's diminishing returns must appear");
+        let out = run(&RunCtx::new(Scale::Quick));
+        assert_eq!(
+            out.summary.get("marginal_rising"),
+            Some(1.0),
+            "Figure 8's diminishing returns must appear"
+        );
         // Crawl found the whole ultrapeer tier.
         let crawled: usize = out.tables[0].rows[0][1].parse().unwrap();
         assert_eq!(crawled, 400);

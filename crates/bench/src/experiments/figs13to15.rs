@@ -2,10 +2,10 @@
 //! Perfect, SAM, TPF, TF, Random — on average QR/QDR as a function of the
 //! publishing budget, plus SAM's sample-size sensitivity.
 
-use crate::experiments::figs9to12::{trace_view, trace_view_seeded};
-use crate::lab::Scale;
+use crate::experiments::figs9to12::trace_view;
 use crate::output::{f, s, Table};
 use crate::sweep::Summary;
+use crate::{Outcome, RunCtx};
 use pier_model::{schemes, PublishedSet, SchemeInput, TraceView};
 use pier_workload::Catalog;
 
@@ -117,8 +117,10 @@ fn threshold_ladder(sorted: &[u64]) -> Vec<u64> {
     out
 }
 
-pub fn run(scale: Scale) -> Vec<Table> {
-    let (catalog, _trace, view) = trace_view(scale);
+/// Figures 13–15. The sweep summary is each scheme's QR at the 50%
+/// publishing budget (horizon 5%) — the paper's Figure 13 mid-axis cut.
+pub fn run(ctx: &RunCtx) -> Outcome {
+    let (catalog, _trace, view) = trace_view(ctx.scale, ctx.seed);
     let curves = compute_curves(&catalog, &view, 0.05);
 
     let budgets = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9];
@@ -157,39 +159,26 @@ pub fn run(scale: Scale) -> Vec<Table> {
         ]);
     }
 
-    vec![t13, t14, t15]
-}
-
-/// One sweep trial: each scheme's QR at the 50% publishing budget
-/// (horizon 5%) from a seeded trace — the paper's Figure 13 mid-axis cut.
-///
-/// Analytic model — `_shards` is accepted for the uniform sweep interface,
-/// but there is no simulation kernel here to shard.
-pub fn trial(scale: Scale, seed: u64, _shards: usize) -> Summary {
-    let (catalog, _trace, view) = trace_view_seeded(scale, seed);
-    let curves = compute_curves(&catalog, &view, 0.05);
-    let mut s = Summary::new();
+    let mut out = Summary::new();
     for c in &curves {
         let key = format!(
             "qr_b50_{}_pct",
             c.name.to_lowercase().replace(['(', '%'], "").replace(')', "")
         );
-        s.set(&key, 100.0 * at_overhead(c, 0.5, |p| p.1));
+        out.set(&key, 100.0 * at_overhead(c, 0.5, |p| p.1));
     }
-    s.set("qdr_b50_perfect_pct", {
-        let perfect = curves.iter().find(|c| c.name == "Perfect").expect("Perfect curve");
-        100.0 * at_overhead(perfect, 0.5, |p| p.2)
-    });
-    s
+    out.set("qdr_b50_perfect_pct", 100.0 * at_overhead(pick("Perfect"), 0.5, |p| p.2));
+    Outcome::analytic(vec![t13, t14, t15], out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lab::Scale;
 
     #[test]
     fn quick_scheme_ordering_matches_paper() {
-        let (catalog, _trace, view) = trace_view(Scale::Quick);
+        let (catalog, _trace, view) = trace_view(Scale::Quick, None);
         let curves = compute_curves(&catalog, &view, 0.05);
         let pick = |name: &str| curves.iter().find(|c| c.name == name).unwrap();
 

@@ -2,60 +2,21 @@
 //! network — result sizes vs. replication, result-size CDFs (single vantage
 //! vs. Union-of-N), and first-result latency vs. result size.
 
-use crate::lab::{union_results, Lab, LabConfig, Scale, VantageResult, DEFAULT_SEED};
+use crate::lab::{run_preset, union_results, LabRun};
 use crate::output::{f, s, Table};
 use crate::sweep::Summary;
-use pier_netsim::MetricsSnapshot;
-use pier_trace::Obs;
+use crate::{Outcome, RunCtx};
 use std::collections::HashMap;
-
-/// Everything Figures 4–7 need from one replay of the trace.
-pub struct MeasurementData {
-    /// `per_query[q][v]`.
-    pub per_query: Vec<Vec<VantageResult>>,
-    pub vantage_count: usize,
-    /// Traffic accounting of the replay (merged across sweep trials by
-    /// the sweep runner).
-    pub metrics: MetricsSnapshot,
-    /// Kernel event-queue accounting of the replay.
-    pub events: pier_netsim::EventStats,
-}
-
-pub fn collect(scale: Scale) -> MeasurementData {
-    collect_seeded(scale, DEFAULT_SEED, 1)
-}
-
-/// One full replay with every random choice derived from `seed`, on a
-/// `shards`-way kernel. Results are bit-identical for any shard count.
-pub fn collect_seeded(scale: Scale, seed: u64, shards: usize) -> MeasurementData {
-    collect_seeded_obs(scale, seed, shards, &Obs::default())
-}
-
-/// [`collect_seeded`] under an observability config: profiled phases,
-/// progress heartbeat, and sampled query tracing. Measured statistics are
-/// bit-identical to the unobserved run.
-pub fn collect_seeded_obs(scale: Scale, seed: u64, shards: usize, obs: &Obs) -> MeasurementData {
-    let mut lab = Lab::build_with(LabConfig::at_sharded(scale, seed, shards), obs);
-    let rate =
-        if matches!(scale, Scale::Full | Scale::Metro | Scale::MetroLite) { 3.0 } else { 2.0 };
-    let per_query = lab.replay_with(rate, obs);
-    MeasurementData {
-        per_query,
-        vantage_count: lab.vantages.len(),
-        metrics: lab.sim.metrics().snapshot(),
-        events: lab.sim.event_stats(),
-    }
-}
 
 /// The Figure 4 scatter reduced to buckets: one
 /// `(single-vantage result size, average replication factor,
 /// observations)` triple per distinct size, sorted by size.
-pub fn fig4_points(data: &MeasurementData) -> Vec<(usize, f64, usize)> {
+pub fn fig4_points(data: &LabRun) -> Vec<(usize, f64, usize)> {
     // Group queries by single-vantage result size; average the replication
     // factors measured from the Union-of-all results.
     let mut by_size: HashMap<usize, Vec<f64>> = HashMap::new();
     for per_vantage in &data.per_query {
-        let union = union_results(per_vantage, data.vantage_count);
+        let union = union_results(per_vantage, data.vantage_count());
         // Replication factor per distinct filename = #hosts in the union.
         let mut hosts_per_name: HashMap<&str, usize> = HashMap::new();
         for (name, _) in &union {
@@ -88,7 +49,7 @@ pub fn fig4_points(data: &MeasurementData) -> Vec<(usize, f64, usize)> {
 }
 
 /// Figure 4: query result-set size vs. average replication factor.
-pub fn fig4(data: &MeasurementData) -> Table {
+pub fn fig4(data: &LabRun) -> Table {
     let mut t = Table::new(
         "Figure 4: Query results size vs average replication factor",
         &["results_size", "avg_replication_factor", "observations"],
@@ -126,15 +87,15 @@ pub fn fig4_shape(points: &[(usize, f64, usize)]) -> (f64, f64) {
 /// make the whole table hostage to that vantage's profile (an old-style
 /// 6-neighbor ultrapeer sees a sliver of the network; a new-style one at
 /// quick scale sees essentially all of it).
-fn pooled_singles(data: &MeasurementData) -> Vec<usize> {
+fn pooled_singles(data: &LabRun) -> Vec<usize> {
     data.per_query.iter().flat_map(|pv| pv.iter().map(|v| v.results.len())).collect()
 }
 
 /// Figure 5: result-size CDF, single vantage vs. Union-of-all.
-pub fn fig5(data: &MeasurementData) -> Table {
+pub fn fig5(data: &LabRun) -> Table {
     let singles: Vec<usize> = pooled_singles(data);
     let unions: Vec<usize> =
-        data.per_query.iter().map(|pv| union_results(pv, data.vantage_count).len()).collect();
+        data.per_query.iter().map(|pv| union_results(pv, data.vantage_count()).len()).collect();
     let mut t = Table::new(
         "Figure 5: Result size CDF (single node: % of query×vantage observations ≤ x; \
          union: % of queries ≤ x)",
@@ -148,25 +109,25 @@ pub fn fig5(data: &MeasurementData) -> Table {
 
 /// Figure 6: result-size CDF restricted to ≤ 20 results, for unions of
 /// several vantage counts.
-pub fn fig6(data: &MeasurementData) -> Table {
+pub fn fig6(data: &LabRun) -> Table {
     let quarters = [
         1,
-        data.vantage_count / 6,
-        data.vantage_count / 2,
-        data.vantage_count * 5 / 6,
-        data.vantage_count,
+        data.vantage_count() / 6,
+        data.vantage_count() / 2,
+        data.vantage_count() * 5 / 6,
+        data.vantage_count(),
     ];
     let mut t = Table::new(
         "Figure 6: Result size CDF for queries ≤ 20 results (unions)",
         &["results_x", "u1_pct", "u_sixth_pct", "u_half_pct", "u_most_pct", "u_all_pct"],
     );
+    let counts: Vec<Vec<usize>> = quarters
+        .iter()
+        .map(|&n| data.per_query.iter().map(|pv| union_results(pv, n.max(1)).len()).collect())
+        .collect();
     for x in 0..=20usize {
         let mut row = vec![s(x)];
-        for &n in &quarters {
-            let counts: Vec<usize> =
-                data.per_query.iter().map(|pv| union_results(pv, n.max(1)).len()).collect();
-            row.push(f(pct_at_most(&counts, x), 1));
-        }
+        row.extend(counts.iter().map(|c| f(pct_at_most(c, x), 1)));
         t.row(row);
     }
     t
@@ -184,10 +145,10 @@ pub struct SummaryStats {
     pub reduction_pct: f64,
 }
 
-pub fn summary_stats(data: &MeasurementData) -> SummaryStats {
+pub fn summary_stats(data: &LabRun) -> SummaryStats {
     let singles: Vec<usize> = pooled_singles(data);
     let unions: Vec<usize> =
-        data.per_query.iter().map(|pv| union_results(pv, data.vantage_count).len()).collect();
+        data.per_query.iter().map(|pv| union_results(pv, data.vantage_count()).len()).collect();
     let zero_single = pct_at_most(&singles, 0);
     let zero_union = pct_at_most(&unions, 0);
     let reduction =
@@ -201,7 +162,7 @@ pub fn summary_stats(data: &MeasurementData) -> SummaryStats {
 }
 
 /// §4.4 summary statistics extracted from the same replay.
-pub fn summary(data: &MeasurementData) -> Table {
+pub fn summary(data: &LabRun) -> Table {
     let st = summary_stats(data);
     // "1 node" rows are rates over query×vantage observations — the expected
     // fraction seen at a random single vantage, the comparable to the
@@ -218,7 +179,7 @@ pub fn summary(data: &MeasurementData) -> Table {
 }
 
 /// Figure 7: result-set size vs. average first-result latency.
-pub fn fig7(data: &MeasurementData) -> Table {
+pub fn fig7(data: &LabRun) -> Table {
     // Buckets of single-vantage result sizes (log-ish edges like the plot).
     let edges = [1usize, 2, 5, 10, 25, 50, 100, 150, 100_000];
     let mut sums = vec![(0.0f64, 0usize); edges.len()];
@@ -254,23 +215,10 @@ fn pct_at_most(values: &[usize], x: usize) -> f64 {
     100.0 * values.iter().filter(|v| **v <= x).count() as f64 / values.len() as f64
 }
 
-/// Run all four figures (one replay on a `shards`-way kernel) and return
-/// the tables, reporting kernel throughput on stdout.
-pub fn run(scale: Scale, shards: usize) -> Vec<Table> {
-    run_with(scale, shards, &Obs::default())
-}
-
-/// [`run`] under an observability config (`repro --profile` / `--trace-queries`).
-pub fn run_with(scale: Scale, shards: usize, obs: &Obs) -> Vec<Table> {
-    let t0 = std::time::Instant::now();
-    let data = collect_seeded_obs(scale, DEFAULT_SEED, shards, obs);
-    crate::report_kernel_rate("figs4to7", data.events, shards, t0.elapsed());
-    vec![fig4(&data), fig5(&data), fig6(&data), summary(&data), fig7(&data)]
-}
-
-/// One sweep trial: a seeded replay reduced to its headline statistics.
-pub fn trial(scale: Scale, seed: u64, shards: usize) -> Summary {
-    let data = collect_seeded(scale, seed, shards);
+/// Figures 4–7 and the §4.4 summary from one lab replay; the sweep
+/// summary carries the headline statistics.
+pub fn run(ctx: &RunCtx) -> Outcome {
+    let data = run_preset(ctx);
     let st = summary_stats(&data);
     let (small_rep, large_rep) = fig4_shape(&fig4_points(&data));
     let mut out = Summary::new();
@@ -283,16 +231,22 @@ pub fn trial(scale: Scale, seed: u64, shards: usize) -> Summary {
     out.set("total_messages", data.metrics.total_messages as f64);
     out.set("total_bytes", data.metrics.total_bytes as f64);
     out.set("events_processed", data.events.processed as f64);
-    out
+    Outcome {
+        tables: vec![fig4(&data), fig5(&data), fig6(&data), summary(&data), fig7(&data)],
+        summary: out,
+        events: data.events,
+        replay: data.replay,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lab::Scale;
 
     #[test]
     fn quick_run_has_expected_shapes() {
-        let data = collect(Scale::Quick);
+        let data = run_preset(&RunCtx::new(Scale::Quick));
         assert!(!data.per_query.is_empty());
 
         // Fig 4: big-result queries return clearly more-replicated content.

@@ -5,30 +5,20 @@
 use crate::lab::Scale;
 use crate::output::{f, s, Table};
 use crate::sweep::Summary;
+use crate::{Outcome, RunCtx};
 use pier_model::{pf_threshold_curve, threshold_sweep, TraceView};
 use pier_workload::{Catalog, CatalogConfig, Evaluator, QueryConfig, QueryTrace};
 
-/// Build the §6.2 trace view (catalog + query ground truth) with the
-/// default calibration seeds.
-pub fn trace_view(scale: Scale) -> (Catalog, QueryTrace, TraceView) {
-    trace_view_with_seeds(scale, 0x962, 0x1962)
-}
-
-/// Seeded variant for sweeps: catalog and trace seeds derived from one
-/// per-trial master seed.
-pub fn trace_view_seeded(scale: Scale, seed: u64) -> (Catalog, QueryTrace, TraceView) {
-    trace_view_with_seeds(
-        scale,
-        pier_netsim::derive_seed(seed, 0x962),
-        pier_netsim::derive_seed(seed, 0x1962),
-    )
-}
-
-fn trace_view_with_seeds(
-    scale: Scale,
-    catalog_seed: u64,
-    trace_seed: u64,
-) -> (Catalog, QueryTrace, TraceView) {
+/// Build the §6.2 trace view (catalog + query ground truth). Single runs
+/// (`seed: None`) use the fixed calibration seeds; a sweep trial derives
+/// both from its master seed.
+pub fn trace_view(scale: Scale, seed: Option<u64>) -> (Catalog, QueryTrace, TraceView) {
+    let (catalog_seed, trace_seed) = match seed {
+        None => (0x962, 0x1962),
+        Some(seed) => {
+            (pier_netsim::derive_seed(seed, 0x962), pier_netsim::derive_seed(seed, 0x1962))
+        }
+    };
     let cfg = match scale {
         Scale::Quick | Scale::Sparse => CatalogConfig {
             hosts: 8_000,
@@ -79,28 +69,25 @@ fn trace_view_with_seeds(
     (catalog, trace, view)
 }
 
-/// One sweep trial: the paper-anchored points of Figures 10–12 from a
-/// seeded trace, plus the Figure 9 threshold-1 PF levels.
-///
-/// Analytic model — `_shards` is accepted for the uniform sweep interface,
-/// but there is no simulation kernel here to shard.
-pub fn trial(scale: Scale, seed: u64, _shards: usize) -> Summary {
-    let (_catalog, _trace, view) = trace_view_seeded(scale, seed);
-    let thresholds: Vec<u32> = vec![0, 1, 2];
-    let sweep_h5 = threshold_sweep(&view, 0.05, thresholds.clone());
-    let sweep_h15 = threshold_sweep(&view, 0.15, thresholds);
-    let pf = pf_threshold_curve(view.hosts, 0.15, 1..=1);
-    let mut s = Summary::new();
-    s.set("pub_overhead_t1_pct", 100.0 * sweep_h5[1].overhead);
-    s.set("qr_t1_h5_pct", 100.0 * sweep_h5[1].avg_qr);
-    s.set("qr_t1_h15_pct", 100.0 * sweep_h15[1].avg_qr);
-    s.set("qdr_t2_h15_pct", 100.0 * sweep_h15[2].avg_qdr);
-    s.set("pf_threshold_t1_h15", pf[0].pf_threshold);
-    s
+/// Figures 9–12. The sweep summary holds the paper-anchored points of
+/// Figures 10–12 and the Figure 9 threshold-1 PF level. A sweep trial
+/// reads only the summary, and the figures cost several times more (every
+/// threshold at the 30% horizon), so seeded runs leave the tables out.
+pub fn run(ctx: &RunCtx) -> Outcome {
+    let (_catalog, _trace, view) = trace_view(ctx.scale, ctx.seed);
+    let sweep_h5 = threshold_sweep(&view, 0.05, 0..=2);
+    let sweep_h15 = threshold_sweep(&view, 0.15, 0..=2);
+    let mut out = Summary::new();
+    out.set("pub_overhead_t1_pct", 100.0 * sweep_h5[1].overhead);
+    out.set("qr_t1_h5_pct", 100.0 * sweep_h5[1].avg_qr);
+    out.set("qr_t1_h15_pct", 100.0 * sweep_h15[1].avg_qr);
+    out.set("qdr_t2_h15_pct", 100.0 * sweep_h15[2].avg_qdr);
+    out.set("pf_threshold_t1_h15", pf_threshold_curve(view.hosts, 0.15, 1..=1)[0].pf_threshold);
+    let tables = if ctx.seed.is_none() { figures(&view) } else { Vec::new() };
+    Outcome::analytic(tables, out)
 }
 
-pub fn run(scale: Scale) -> Vec<Table> {
-    let (catalog, _trace, view) = trace_view(scale);
+fn figures(view: &TraceView) -> Vec<Table> {
     let horizons = [0.05, 0.15, 0.30];
 
     // Figure 9.
@@ -122,7 +109,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
     // Figures 10–12 share the threshold sweep.
     let thresholds: Vec<u32> = (0..=10).chain([12, 15, 20]).collect();
     let sweeps: Vec<_> =
-        horizons.iter().map(|&h| threshold_sweep(&view, h, thresholds.clone())).collect();
+        horizons.iter().map(|&h| threshold_sweep(view, h, thresholds.clone())).collect();
 
     let mut t10 = Table::new(
         "Figure 10: publishing overhead vs replica threshold (paper: 23% at t=1)",
@@ -155,7 +142,6 @@ pub fn run(scale: Scale) -> Vec<Table> {
         ]);
     }
 
-    let _ = catalog;
     vec![t9, t10, t11, t12]
 }
 
@@ -165,7 +151,7 @@ mod tests {
 
     #[test]
     fn quick_model_figures_match_paper_anchors() {
-        let tables = run(Scale::Quick);
+        let tables = run(&RunCtx::new(Scale::Quick)).tables;
         let (t9, t10, t11, t12) = (&tables[0], &tables[1], &tables[2], &tables[3]);
 
         // Fig 9: monotone rising, diminishing, horizon-ordered.

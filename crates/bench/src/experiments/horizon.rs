@@ -4,79 +4,28 @@
 //! essentially the whole network, so the paper's partial-coverage effect
 //! (§4.4: many zero-result queries at one node that a Union-of-N would
 //! resolve) only shows through old-style 6-neighbor vantages. The
-//! [`Scale::Sparse`] preset — more ultrapeers, an old-style-heavy degree
-//! mix, single-homed leaves — shrinks every vantage's horizon below the
-//! network size, so `zero_single > zero_union` holds from new-style
+//! [`Sparse`](crate::lab::Scale::Sparse) preset — more ultrapeers, an
+//! old-style-heavy degree mix, single-homed leaves — shrinks every
+//! vantage's horizon below the network size, so `zero_single > zero_union` holds from new-style
 //! vantages too. This is the figs4–7 apparatus, sliced per vantage.
 
-use crate::lab::{union_results, Lab, LabConfig, Scale, VantageResult, DEFAULT_SEED};
+use crate::lab::{run_preset, union_results, LabRun};
 use crate::output::{f, s, Table};
 use crate::sweep::Summary;
-use pier_netsim::MetricsSnapshot;
-use pier_trace::Obs;
-
-/// Everything the horizon tables need from one replay of the trace.
-pub struct HorizonData {
-    /// `per_query[q][v]`.
-    pub per_query: Vec<Vec<VantageResult>>,
-    /// `up_neighbors` degree target of each vantage's profile.
-    pub vantage_degrees: Vec<usize>,
-    /// Traffic accounting of the replay.
-    pub metrics: MetricsSnapshot,
-    /// Kernel event-queue accounting of the replay.
-    pub events: pier_netsim::EventStats,
-}
+use crate::{Outcome, RunCtx};
 
 /// A vantage with ≥ this degree target is "new-style" (the 32-neighbor
 /// LimeWire profile; old-style is 6).
 pub const NEW_STYLE_DEGREE: usize = 32;
 
-pub fn collect(scale: Scale) -> HorizonData {
-    collect_seeded(scale, DEFAULT_SEED, 1)
-}
-
-/// One full replay with every random choice derived from `seed`, on a
-/// `shards`-way kernel. Results are bit-identical for any shard count.
-pub fn collect_seeded(scale: Scale, seed: u64, shards: usize) -> HorizonData {
-    collect_seeded_obs(scale, seed, shards, &Obs::default())
-}
-
-/// [`collect_seeded`] under an observability config: profiled phases,
-/// progress heartbeat, and sampled query tracing. Measured statistics are
-/// bit-identical to the unobserved run.
-pub fn collect_seeded_obs(scale: Scale, seed: u64, shards: usize, obs: &Obs) -> HorizonData {
-    let rate =
-        if matches!(scale, Scale::Full | Scale::Metro | Scale::MetroLite) { 3.0 } else { 2.0 };
-    collect_cfg_obs(LabConfig::at_sharded(scale, seed, shards), rate, obs)
-}
-
-/// One full replay of an explicit lab config (tests drive metro-lite
-/// through this without touching process-global env state).
-pub fn collect_cfg(cfg: LabConfig, inject_rate_per_s: f64) -> HorizonData {
-    collect_cfg_obs(cfg, inject_rate_per_s, &Obs::default())
-}
-
-/// [`collect_cfg`] under an observability config.
-pub fn collect_cfg_obs(cfg: LabConfig, inject_rate_per_s: f64, obs: &Obs) -> HorizonData {
-    let mut lab = Lab::build_with(cfg, obs);
-    let vantage_degrees = lab.vantage_profiles();
-    let per_query = lab.replay_with(inject_rate_per_s, obs);
-    HorizonData {
-        per_query,
-        vantage_degrees,
-        metrics: lab.sim.metrics().snapshot(),
-        events: lab.sim.event_stats(),
-    }
-}
-
 /// Percentage of queries returning zero results from vantage `v`.
-pub fn zero_single_rate(data: &HorizonData, v: usize) -> f64 {
+pub fn zero_single_rate(data: &LabRun, v: usize) -> f64 {
     let zero = data.per_query.iter().filter(|pv| pv[v].results.is_empty()).count();
     100.0 * zero as f64 / data.per_query.len().max(1) as f64
 }
 
 /// Percentage of queries returning zero results in the Union-of-all.
-pub fn zero_union_rate(data: &HorizonData) -> f64 {
+pub fn zero_union_rate(data: &LabRun) -> f64 {
     let n = data.vantage_degrees.len();
     let zero = data.per_query.iter().filter(|pv| union_results(pv, n).is_empty()).count();
     100.0 * zero as f64 / data.per_query.len().max(1) as f64
@@ -85,7 +34,7 @@ pub fn zero_union_rate(data: &HorizonData) -> f64 {
 /// Does at least one new-style (32-neighbor) vantage see strictly more
 /// zero-result queries than the Union-of-all — i.e. is the horizon effect
 /// visible even from the best-connected vantage profile?
-pub fn new_style_horizon_visible(data: &HorizonData) -> bool {
+pub fn new_style_horizon_visible(data: &LabRun) -> bool {
     let union = zero_union_rate(data);
     data.vantage_degrees
         .iter()
@@ -95,7 +44,7 @@ pub fn new_style_horizon_visible(data: &HorizonData) -> bool {
 }
 
 /// Per-vantage zero-result rates against the Union-of-all baseline.
-pub fn table(data: &HorizonData) -> Table {
+pub fn table(data: &LabRun) -> Table {
     let union = zero_union_rate(data);
     let mut t = Table::new(
         "Horizon: zero-result rate per vantage vs Union-of-all \
@@ -111,7 +60,7 @@ pub fn table(data: &HorizonData) -> Table {
 
 /// Mean zero-result rate over the vantages selected by `wanted` (a
 /// predicate on the vantage's profile degree), or `NaN` when none match.
-pub fn mean_zero_single_rate(data: &HorizonData, wanted: impl Fn(usize) -> bool) -> f64 {
+pub fn mean_zero_single_rate(data: &LabRun, wanted: impl Fn(usize) -> bool) -> f64 {
     let rates: Vec<f64> = data
         .vantage_degrees
         .iter()
@@ -122,55 +71,37 @@ pub fn mean_zero_single_rate(data: &HorizonData, wanted: impl Fn(usize) -> bool)
     rates.iter().sum::<f64>() / rates.len() as f64
 }
 
-/// Run the experiment (one replay on a `shards`-way kernel) and return
-/// the table, reporting kernel throughput on stdout.
-pub fn run(scale: Scale, shards: usize) -> Vec<Table> {
-    run_with(scale, shards, &Obs::default())
-}
-
-/// [`run`] under an observability config (`repro --profile` / `--trace-queries`).
-pub fn run_with(scale: Scale, shards: usize, obs: &Obs) -> Vec<Table> {
-    let t0 = std::time::Instant::now();
-    let data = collect_seeded_obs(scale, DEFAULT_SEED, shards, obs);
-    crate::report_kernel_rate("horizon", data.events, shards, t0.elapsed());
-    vec![table(&data)]
-}
-
-/// One sweep trial: the zero-result gap (the paper's §4.4 claim) from a
-/// seeded replay. `zero_single` pools every vantage; the per-profile
-/// splits show that the horizon effect survives even at the best-connected
-/// (new-style) vantages.
-pub fn trial(scale: Scale, seed: u64, shards: usize) -> Summary {
-    summarize(&collect_seeded(scale, seed, shards))
-}
-
-/// The trial summary of an already-collected replay (shared by [`trial`]
-/// and the explicit-config test paths).
-pub fn summarize(data: &HorizonData) -> Summary {
-    let zero_single = mean_zero_single_rate(data, |_| true);
-    let zero_union = zero_union_rate(data);
+/// One lab replay, sliced per vantage. The sweep summary is the
+/// zero-result gap (the paper's §4.4 claim): `zero_single` pools every
+/// vantage; the per-profile splits show that the horizon effect survives
+/// even at the best-connected (new-style) vantages.
+pub fn run(ctx: &RunCtx) -> Outcome {
+    let data = run_preset(ctx);
+    let zero_single = mean_zero_single_rate(&data, |_| true);
+    let zero_union = zero_union_rate(&data);
     let mut out = Summary::new();
     out.set("zero_single", zero_single);
     out.set("zero_union", zero_union);
     out.set("zero_gap", zero_single - zero_union);
-    out.set("zero_single_new_style", mean_zero_single_rate(data, |d| d >= NEW_STYLE_DEGREE));
-    out.set("zero_single_old_style", mean_zero_single_rate(data, |d| d < NEW_STYLE_DEGREE));
-    out.set("new_style_horizon_visible", new_style_horizon_visible(data) as u64 as f64);
+    out.set("zero_single_new_style", mean_zero_single_rate(&data, |d| d >= NEW_STYLE_DEGREE));
+    out.set("zero_single_old_style", mean_zero_single_rate(&data, |d| d < NEW_STYLE_DEGREE));
+    out.set("new_style_horizon_visible", new_style_horizon_visible(&data) as u64 as f64);
     out.set("total_messages", data.metrics.total_messages as f64);
     out.set("total_bytes", data.metrics.total_bytes as f64);
     out.set("events_processed", data.events.processed as f64);
-    out
+    Outcome { tables: vec![table(&data)], summary: out, events: data.events, replay: data.replay }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lab::Scale;
 
     /// The acceptance property of the sparse preset: the horizon effect
     /// shows through *new-style* vantages, not just old-style ones.
     #[test]
     fn sparse_scale_shows_horizon_from_new_style_vantages() {
-        let data = collect(Scale::Sparse);
+        let data = run_preset(&RunCtx::new(Scale::Sparse));
         assert!(!data.per_query.is_empty());
         assert!(
             data.vantage_degrees.iter().any(|&d| d >= NEW_STYLE_DEGREE),

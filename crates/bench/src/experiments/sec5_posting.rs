@@ -9,6 +9,7 @@
 use crate::lab::Scale;
 use crate::output::{f, s, Table};
 use crate::sweep::Summary;
+use crate::{Outcome, RunCtx};
 use pier_workload::{Catalog, CatalogConfig, Evaluator, Query, QueryConfig, QueryTrace};
 use std::collections::HashMap;
 
@@ -52,37 +53,17 @@ pub fn shipped_entries(eval: &Evaluator<'_>, catalog: &Catalog, q: &Query) -> u6
     shipped
 }
 
-/// Headline statistics of one posting-list replay.
-pub struct PostingStats {
-    /// `avg_all / avg_small`: how much cheaper ≤10-result queries join.
-    pub factor: f64,
-    pub avg_entries_all: f64,
-    pub avg_entries_small: f64,
-}
-
-pub fn run(scale: Scale) -> Vec<Table> {
-    vec![replay_with_seeds(scale, 0x5EC5, 0x55EC).0]
-}
-
-/// One sweep trial: the §5 cost factor from a seeded catalog + trace.
-///
-/// Analytic model — `_shards` is accepted for the uniform sweep interface,
-/// but there is no simulation kernel here to shard.
-pub fn trial(scale: Scale, seed: u64, _shards: usize) -> Summary {
-    let (_t, st) = replay_with_seeds(
-        scale,
-        pier_netsim::derive_seed(seed, 0x5EC5),
-        pier_netsim::derive_seed(seed, 0x55EC),
-    );
-    let mut s = Summary::new();
-    s.set("factor_all_over_le10", st.factor);
-    s.set("avg_entries_all", st.avg_entries_all);
-    s.set("avg_entries_le10", st.avg_entries_small);
-    s
-}
-
-fn replay_with_seeds(scale: Scale, catalog_seed: u64, trace_seed: u64) -> (Table, PostingStats) {
-    let (files, queries) = match scale {
+/// The posting-list replay. Single runs use fixed catalog and trace
+/// seeds; a sweep trial derives both from its master seed. The sweep
+/// summary is the §5 cost factor.
+pub fn run(ctx: &RunCtx) -> Outcome {
+    let (catalog_seed, trace_seed) = match ctx.seed {
+        None => (0x5EC5, 0x55EC),
+        Some(seed) => {
+            (pier_netsim::derive_seed(seed, 0x5EC5), pier_netsim::derive_seed(seed, 0x55EC))
+        }
+    };
+    let (files, queries) = match ctx.scale {
         Scale::Quick | Scale::Sparse => (40_000usize, 7_000usize),
         // The paper's 700k files / 70k queries.
         Scale::Full => (700_000, 70_000),
@@ -146,7 +127,11 @@ fn replay_with_seeds(scale: Scale, catalog_seed: u64, trace_seed: u64) -> (Table
     }
     t.row(vec![s("ALL"), s(all_n), f(avg_all, 1)]);
     t.row(vec![s("factor all/≤10"), s(""), f(factor, 2)]);
-    (t, PostingStats { factor, avg_entries_all: avg_all, avg_entries_small: avg_small })
+    let mut out = Summary::new();
+    out.set("factor_all_over_le10", factor);
+    out.set("avg_entries_all", avg_all);
+    out.set("avg_entries_le10", avg_small);
+    Outcome::analytic(vec![t], out)
 }
 
 /// The factor the run's final row reports (for assertions).
@@ -160,7 +145,7 @@ mod tests {
 
     #[test]
     fn rare_queries_ship_far_fewer_entries() {
-        let tables = run(Scale::Quick);
+        let tables = run(&RunCtx::new(Scale::Quick)).tables;
         let factor = factor_from(&tables[0]);
         assert!(
             factor > 2.0,

@@ -11,10 +11,11 @@
 use crate::lab::Scale;
 use crate::output::{f, s, Table};
 use crate::sweep::Summary;
+use crate::{Lap, Outcome, RunCtx};
 use pier_dht::{bootstrap, Contact, DhtConfig, DhtCore, DhtNode};
 use pier_gnutella::{FileMeta, Topology, TopologyConfig};
 use pier_hybrid::{deploy, HybridConfig, HybridUp, RareScheme};
-use pier_netsim::{EventStats, NodeId, Sim, SimConfig, SimDuration, UniformLatency};
+use pier_netsim::{NodeId, Sim, SimConfig, SimDuration, UniformLatency};
 use pier_workload::{Catalog, CatalogConfig, QueryConfig, QueryTrace};
 use piersearch::{IndexMode, PierSearchApp, PierSearchNode};
 
@@ -25,11 +26,7 @@ const DEPLOY_SEED: u64 = 0x7000;
 
 /// Publish `files` filenames into an isolated DHT and measure total DHT
 /// bytes per file.
-pub fn micro_publish_cost(mode: IndexMode, files: usize) -> f64 {
-    micro_publish_cost_seeded(mode, files, DEPLOY_SEED + 1)
-}
-
-pub fn micro_publish_cost_seeded(mode: IndexMode, files: usize, seed: u64) -> f64 {
+pub fn micro_publish_cost(mode: IndexMode, files: usize, seed: u64) -> f64 {
     let cfg = SimConfig::with_seed(seed)
         .latency(UniformLatency::new(SimDuration::from_millis(20), SimDuration::from_millis(80)));
     let mut sim = Sim::new(cfg);
@@ -70,16 +67,7 @@ pub fn micro_publish_cost_seeded(mode: IndexMode, files: usize, seed: u64) -> f6
 }
 
 /// Publish a shared-keyword corpus and measure engine bytes per query.
-pub fn micro_query_cost(mode: IndexMode, corpus: usize, queries: usize) -> (f64, f64) {
-    micro_query_cost_seeded(mode, corpus, queries, DEPLOY_SEED + 2)
-}
-
-pub fn micro_query_cost_seeded(
-    mode: IndexMode,
-    corpus: usize,
-    queries: usize,
-    seed: u64,
-) -> (f64, f64) {
+pub fn micro_query_cost(mode: IndexMode, corpus: usize, queries: usize, seed: u64) -> (f64, f64) {
     let cfg = SimConfig::with_seed(seed)
         .latency(UniformLatency::new(SimDuration::from_millis(20), SimDuration::from_millis(80)));
     let mut sim = Sim::new(cfg);
@@ -152,45 +140,22 @@ pub fn micro_query_cost_seeded(
     (bytes_per_query, lat / lat_n.max(1) as f64)
 }
 
-/// The deployment proper.
-pub struct DeployOutcome {
-    pub tables: Vec<Table>,
-    pub zero_result_reduction_pct: f64,
-    pub pier_beats_gnutella_latency: bool,
-    pub publish_bytes_plain: f64,
-    pub publish_bytes_cache: f64,
-    pub query_bytes_plain: f64,
-    pub query_bytes_cache: f64,
-    pub avg_gnutella_first_s: f64,
-    pub avg_pier_exec_s: f64,
-    pub files_published: u64,
-    /// Kernel event-queue accounting of the deployment replay (part 3).
-    /// The part-1/2 micro-cost sims are tiny and always single-shard, so
-    /// they are excluded here.
-    pub events: EventStats,
-}
-
-pub fn run(scale: Scale, shards: usize) -> DeployOutcome {
-    let t0 = std::time::Instant::now();
-    let out = run_seeded(scale, DEPLOY_SEED, shards);
-    crate::report_kernel_rate("sec7_deploy", out.events, shards, t0.elapsed());
-    out
-}
-
-/// `shards` applies to the part-3 deployment replay (the only simulation
-/// here big enough to matter); the micro-cost sims stay single-shard.
-pub fn run_seeded(scale: Scale, master: u64, shards: usize) -> DeployOutcome {
+/// The three parts. The micro-cost sims are tiny and always single-shard;
+/// the run's shards, kernel probe and event accounting apply to the part-3
+/// deployment replay. The sweep summary carries the deployment headline
+/// numbers.
+pub fn run(ctx: &RunCtx) -> Outcome {
+    let master = ctx.seed.unwrap_or(DEPLOY_SEED);
     // Parts 1 & 2: micro costs.
-    let files = match scale {
+    let files = match ctx.scale {
         Scale::Quick | Scale::Sparse => 60,
         Scale::Full => 200,
         Scale::Metro | Scale::MetroLite => 300,
     };
-    let pub_plain = micro_publish_cost_seeded(IndexMode::Inverted, files, master + 1);
-    let pub_cache = micro_publish_cost_seeded(IndexMode::InvertedCache, files, master + 1);
-    let (q_cache, lat_cache) =
-        micro_query_cost_seeded(IndexMode::InvertedCache, 300, 25, master + 2);
-    let (q_plain, lat_plain) = micro_query_cost_seeded(IndexMode::Inverted, 300, 25, master + 2);
+    let pub_plain = micro_publish_cost(IndexMode::Inverted, files, master + 1);
+    let pub_cache = micro_publish_cost(IndexMode::InvertedCache, files, master + 1);
+    let (q_cache, lat_cache) = micro_query_cost(IndexMode::InvertedCache, 300, 25, master + 2);
+    let (q_plain, lat_plain) = micro_query_cost(IndexMode::Inverted, 300, 25, master + 2);
 
     let mut t_cost = Table::new(
         "Section 7: PIERSearch costs (paper: publish 3.5/4.0 KB per file; query 20 KB SHJ vs 0.85 KB InvertedCache)",
@@ -201,15 +166,16 @@ pub fn run_seeded(scale: Scale, master: u64, shards: usize) -> DeployOutcome {
     t_cost.row(vec![s("PIER first result (s)"), f(lat_plain, 1), f(lat_cache, 1), s(12), s(10)]);
 
     // Part 3: the deployment.
-    let (ups, hybrid_ups, leaves, distinct, queries) = match scale {
+    let (ups, hybrid_ups, leaves, distinct, queries) = match ctx.scale {
         Scale::Quick | Scale::Sparse => (100usize, 20usize, 2_000usize, 4_000usize, 120usize),
         Scale::Full => (300, 50, 6_000, 12_000, 400),
         Scale::Metro | Scale::MetroLite => (600, 100, 12_000, 24_000, 600),
     };
-    let cfg = SimConfig::with_seed(master + 3)
-        .latency(UniformLatency::new(SimDuration::from_millis(20), SimDuration::from_millis(80)))
-        .shards(shards);
-    let mut sim = Sim::new(cfg);
+    let mut sim =
+        ctx.sim(SimConfig::with_seed(master + 3).latency(UniformLatency::new(
+            SimDuration::from_millis(20),
+            SimDuration::from_millis(80),
+        )));
     let topo = Topology::generate(&TopologyConfig {
         ultrapeers: ups,
         leaves,
@@ -253,6 +219,7 @@ pub fn run_seeded(scale: Scale, master: u64, shards: usize) -> DeployOutcome {
     let deployment = deploy::spawn(&mut sim, &topo, leaf_files, &dcfg, |_| RareScheme::qrs(20));
     sim.run_for(SimDuration::from_secs(5));
 
+    let lap = Lap::start(sim.event_stats());
     // Round 1: seed QRS by replaying the trace from half the hybrid UPs.
     let round1_vantages: Vec<NodeId> =
         deployment.hybrid_ups.iter().copied().take(hybrid_ups / 2).collect();
@@ -280,6 +247,7 @@ pub fn run_seeded(scale: Scale, master: u64, shards: usize) -> DeployOutcome {
         sim.run_for(SimDuration::from_millis(700));
     }
     sim.run_for(SimDuration::from_secs(150));
+    let replay = lap.stop(sim.event_stats());
 
     let mut zero_gnutella = 0u64;
     let mut saved_by_pier = 0u64;
@@ -315,37 +283,19 @@ pub fn run_seeded(scale: Scale, master: u64, shards: usize) -> DeployOutcome {
     t_dep.row(vec![s("avg PIER exec after timeout (s)"), f(avg(&pier_exec), 1), s("10-12")]);
 
     let pier_ok = pier_exec.is_empty() || avg(&pier_exec) < avg(&gnutella_first).max(20.0) + 40.0;
-    DeployOutcome {
-        tables: vec![t_cost, t_dep],
-        events: sim.event_stats(),
-        zero_result_reduction_pct: reduction,
-        pier_beats_gnutella_latency: pier_ok,
-        publish_bytes_plain: pub_plain,
-        publish_bytes_cache: pub_cache,
-        query_bytes_plain: q_plain,
-        query_bytes_cache: q_cache,
-        avg_gnutella_first_s: avg(&gnutella_first),
-        avg_pier_exec_s: avg(&pier_exec),
-        files_published: published,
-    }
-}
-
-/// One sweep trial: the deployment headline numbers from seeded
-/// topologies, catalogs, and traces.
-pub fn trial(scale: Scale, seed: u64, shards: usize) -> Summary {
-    let out = run_seeded(scale, seed, shards);
-    let mut s = Summary::new();
-    s.set("zero_result_reduction_pct", out.zero_result_reduction_pct);
-    s.set("avg_gnutella_first_s", out.avg_gnutella_first_s);
-    s.set("avg_pier_exec_s", out.avg_pier_exec_s);
-    s.set("publish_bytes_plain", out.publish_bytes_plain);
-    s.set("publish_bytes_cache", out.publish_bytes_cache);
-    s.set("query_bytes_plain", out.query_bytes_plain);
-    s.set("query_bytes_cache", out.query_bytes_cache);
-    s.set("files_published", out.files_published as f64);
-    s.set("pier_beats_gnutella_latency", out.pier_beats_gnutella_latency as u64 as f64);
-    s.set("events_processed", out.events.processed as f64);
-    s
+    let events = sim.event_stats();
+    let mut out = Summary::new();
+    out.set("zero_result_reduction_pct", reduction);
+    out.set("avg_gnutella_first_s", avg(&gnutella_first));
+    out.set("avg_pier_exec_s", avg(&pier_exec));
+    out.set("publish_bytes_plain", pub_plain);
+    out.set("publish_bytes_cache", pub_cache);
+    out.set("query_bytes_plain", q_plain);
+    out.set("query_bytes_cache", q_cache);
+    out.set("files_published", published as f64);
+    out.set("pier_beats_gnutella_latency", pier_ok as u64 as f64);
+    out.set("events_processed", events.processed as f64);
+    Outcome { tables: vec![t_cost, t_dep], summary: out, events, replay }
 }
 
 #[cfg(test)]
@@ -354,15 +304,15 @@ mod tests {
 
     #[test]
     fn micro_costs_have_paper_shape() {
-        let pub_plain = micro_publish_cost(IndexMode::Inverted, 25);
-        let pub_cache = micro_publish_cost(IndexMode::InvertedCache, 25);
+        let pub_plain = micro_publish_cost(IndexMode::Inverted, 25, DEPLOY_SEED + 1);
+        let pub_cache = micro_publish_cost(IndexMode::InvertedCache, 25, DEPLOY_SEED + 1);
         // Direction: InvertedCache publishing costs more (paper 4 vs 3.5 KB).
         assert!(pub_cache > pub_plain, "cache {pub_cache} vs plain {pub_plain}");
         // Magnitude: hundreds of bytes to a few KB per file.
         assert!(pub_plain > 200.0 && pub_plain < 20_000.0, "{pub_plain}");
 
-        let (q_cache, _) = micro_query_cost(IndexMode::InvertedCache, 150, 10);
-        let (q_plain, _) = micro_query_cost(IndexMode::Inverted, 150, 10);
+        let (q_cache, _) = micro_query_cost(IndexMode::InvertedCache, 150, 10, DEPLOY_SEED + 2);
+        let (q_plain, _) = micro_query_cost(IndexMode::Inverted, 150, 10, DEPLOY_SEED + 2);
         // Direction: the distributed join ships far more (paper 20 KB vs 850 B).
         assert!(
             q_plain > q_cache * 1.2,

@@ -2,12 +2,15 @@
 //! calibrated synthetic corpus, with query injection from vantage
 //! ultrapeers — the apparatus behind Figures 4–7.
 
+use crate::{Lap, Replay, RunCtx};
 use pier_gnutella::LeafNode;
 use pier_gnutella::{
     spawn_stores, FileMeta, FileStore, GnutellaHandles, GnutellaMsg, Guid, QueryOrigin,
     ShareCatalog, Terms, Topology, TopologyConfig, UltrapeerNode,
 };
-use pier_netsim::{NodeId, Sim, SimConfig, SimDuration, SimTime, UniformLatency};
+use pier_netsim::{
+    EventStats, MetricsSnapshot, NodeId, Sim, SimConfig, SimDuration, SimTime, UniformLatency,
+};
 use pier_trace::Obs;
 use pier_workload::{Catalog, CatalogConfig, Evaluator, Query, QueryConfig, QueryTrace};
 use std::collections::HashSet;
@@ -32,13 +35,12 @@ pub enum Scale {
     Metro,
     /// The metro preset's CI-smoke sibling — same code path (shared
     /// catalogs, mixed profiles, metro experiment arms) at a size that
-    /// builds in under a second. Addressable directly so timing harnesses
-    /// and CI don't need the `REPRO_METRO_LITE` env fallback.
+    /// builds in under a second.
     MetroLite,
 }
 
 impl Scale {
-    /// Parse a scale name (the `--scale` flag / `REPRO_SCALE` values).
+    /// Parse a scale name (the `--scale` flag values).
     pub fn parse(name: &str) -> Option<Scale> {
         match name {
             "quick" => Some(Scale::Quick),
@@ -50,11 +52,7 @@ impl Scale {
         }
     }
 
-    pub fn from_env() -> Scale {
-        std::env::var("REPRO_SCALE").ok().and_then(|v| Scale::parse(&v)).unwrap_or(Scale::Quick)
-    }
-
-    /// Lower-case name, as accepted by `REPRO_SCALE` and emitted in JSON.
+    /// Lower-case name, as accepted by `--scale` and emitted in JSON.
     pub fn name(self) -> &'static str {
         match self {
             Scale::Quick => "quick",
@@ -94,21 +92,9 @@ pub struct LabConfig {
 }
 
 impl LabConfig {
-    pub fn at(scale: Scale) -> LabConfig {
-        LabConfig::at_seeded(scale, DEFAULT_SEED)
-    }
-
-    /// The preset with a sharded simulation kernel (`repro --shards`).
-    pub fn at_sharded(scale: Scale, seed: u64, shards: usize) -> LabConfig {
-        let mut cfg = LabConfig::at_seeded(scale, seed);
-        cfg.shards = shards.max(1);
-        cfg
-    }
-
     /// The preset for `scale`, with every random choice derived from
-    /// `seed` — the sweep runner derives one distinct master seed per
-    /// trial and builds each trial's lab through this.
-    pub fn at_seeded(scale: Scale, seed: u64) -> LabConfig {
+    /// `seed`, on one kernel shard.
+    pub fn at(scale: Scale, seed: u64) -> LabConfig {
         match scale {
             Scale::Quick => LabConfig {
                 ultrapeers: 120,
@@ -164,47 +150,32 @@ impl LabConfig {
             // columnar catalog, QRP filters are sparse position lists
             // interned in a process-wide catalog, and the kernel's
             // per-node slot state is one packed word.
-            // `REPRO_METRO_LITE=1` shrinks the preset to a CI-smoke size
-            // that still exercises the metro code path (shared catalogs,
-            // metro experiment arms) in seconds instead of minutes.
-            Scale::Metro => {
-                if std::env::var("REPRO_METRO_LITE").map(|v| v == "1").unwrap_or(false) {
-                    LabConfig::metro_lite(seed)
-                } else {
-                    LabConfig {
-                        ultrapeers: 100_000,
-                        leaves: 1_000_000,
-                        old_style_fraction: 0.6,
-                        leaf_ups: 2,
-                        distinct_files: 150_000,
-                        queries: 240,
-                        vantages: 24,
-                        mixed_profile_vantages: true,
-                        seed,
-                        shards: 1,
-                    }
-                }
-            }
-            Scale::MetroLite => LabConfig::metro_lite(seed),
-        }
-    }
-
-    /// The CI-sized metro variant (what `REPRO_METRO_LITE=1` selects):
-    /// same code path — shared catalogs, mixed profiles, metro experiment
-    /// arms — at a size a release test can build in seconds. Tests call
-    /// this directly so they don't depend on process-global env state.
-    pub fn metro_lite(seed: u64) -> LabConfig {
-        LabConfig {
-            ultrapeers: 300,
-            leaves: 3_000,
-            old_style_fraction: 0.6,
-            leaf_ups: 2,
-            distinct_files: 6_000,
-            queries: 40,
-            vantages: 6,
-            mixed_profile_vantages: true,
-            seed,
-            shards: 1,
+            Scale::Metro => LabConfig {
+                ultrapeers: 100_000,
+                leaves: 1_000_000,
+                old_style_fraction: 0.6,
+                leaf_ups: 2,
+                distinct_files: 150_000,
+                queries: 240,
+                vantages: 24,
+                mixed_profile_vantages: true,
+                seed,
+                shards: 1,
+            },
+            // The metro code path — shared catalogs, mixed profiles, metro
+            // experiment arms — at a size a release test builds in seconds.
+            Scale::MetroLite => LabConfig {
+                ultrapeers: 300,
+                leaves: 3_000,
+                old_style_fraction: 0.6,
+                leaf_ups: 2,
+                distinct_files: 6_000,
+                queries: 40,
+                vantages: 6,
+                mixed_profile_vantages: true,
+                seed,
+                shards: 1,
+            },
         }
     }
 }
@@ -231,7 +202,6 @@ pub struct Lab {
     /// The one process-wide copy of every shared file's metadata and token
     /// set; every leaf's `FileStore` is a `Box<[FileId]>` view into it.
     pub share_catalog: Arc<ShareCatalog>,
-    cfg: LabConfig,
 }
 
 impl Lab {
@@ -347,7 +317,7 @@ impl Lab {
                 sim.actor_mut::<LeafNode>(id).core.set_trace(handle.clone());
             }
         }
-        Lab { sim, handles, catalog, trace, vantages, topo, share_catalog, cfg }
+        Lab { sim, handles, catalog, trace, vantages, topo, share_catalog }
     }
 
     /// The `up_neighbors` degree target of each vantage's profile (32 for
@@ -371,17 +341,14 @@ impl Lab {
     /// Replay the whole trace from every vantage, staggering injections so
     /// queries overlap realistically. Returns, per query, the per-vantage
     /// results (`out[q][v]`).
-    pub fn replay(&mut self, inject_rate_per_s: f64) -> Vec<Vec<VantageResult>> {
-        self.replay_with(inject_rate_per_s, &Obs::default())
-    }
-
-    /// [`Lab::replay`] with observability: phase scopes around injection /
-    /// drain / collection, a progress target for the heartbeat, and — when
-    /// tracing — registration of an evenly-spaced sample of
-    /// `obs.trace_queries` injections with the tracer. Registration happens
-    /// *after* `start_query` returns and reads only the returned guid, so
-    /// the simulation is bit-identical with tracing on or off.
-    pub fn replay_with(&mut self, inject_rate_per_s: f64, obs: &Obs) -> Vec<Vec<VantageResult>> {
+    ///
+    /// Observability: phase scopes around injection / drain / collection,
+    /// a progress target for the heartbeat, and — when tracing —
+    /// registration of an evenly-spaced sample of `obs.trace_queries`
+    /// injections with the tracer. Registration happens *after*
+    /// `start_query` returns and reads only the returned guid, so the
+    /// simulation is bit-identical with tracing on or off.
+    pub fn replay(&mut self, inject_rate_per_s: f64, obs: &Obs) -> Vec<Vec<VantageResult>> {
         let _replay = obs.phase("lab.replay");
         let queries: Vec<Query> = self.trace.queries.clone();
         let vantages = self.vantages.clone();
@@ -462,10 +429,54 @@ impl Lab {
             })
             .collect()
     }
+}
 
-    pub fn config(&self) -> &LabConfig {
-        &self.cfg
+/// Everything the lab experiments (figs4–7, horizon) need from one build
+/// and replay of a lab.
+pub struct LabRun {
+    /// `per_query[q][v]`.
+    pub per_query: Vec<Vec<VantageResult>>,
+    /// `up_neighbors` degree target of each vantage's profile.
+    pub vantage_degrees: Vec<usize>,
+    /// Traffic accounting of the whole run.
+    pub metrics: MetricsSnapshot,
+    /// Kernel event-queue accounting of the whole run.
+    pub events: EventStats,
+    /// The trace replay alone (no build, no QRP warm-up).
+    pub replay: Replay,
+}
+
+impl LabRun {
+    pub fn vantage_count(&self) -> usize {
+        self.vantage_degrees.len()
     }
+}
+
+/// Build the lab `cfg` describes and replay its trace at
+/// `inject_rate_per_s` queries per second.
+pub fn run_lab(cfg: LabConfig, inject_rate_per_s: f64, obs: &Obs) -> LabRun {
+    let mut lab = Lab::build_with(cfg, obs);
+    let vantage_degrees = lab.vantage_profiles();
+    let lap = Lap::start(lab.sim.event_stats());
+    let per_query = lab.replay(inject_rate_per_s, obs);
+    let replay = lap.stop(lab.sim.event_stats());
+    LabRun {
+        per_query,
+        vantage_degrees,
+        metrics: lab.sim.metrics().snapshot(),
+        events: lab.sim.event_stats(),
+        replay,
+    }
+}
+
+/// [`run_lab`] on the run's scale preset, seed (the default seed for
+/// single runs) and shard count.
+pub(crate) fn run_preset(ctx: &RunCtx) -> LabRun {
+    let mut cfg = LabConfig::at(ctx.scale, ctx.seed.unwrap_or(DEFAULT_SEED));
+    cfg.shards = ctx.shards;
+    let rate =
+        if matches!(ctx.scale, Scale::Full | Scale::Metro | Scale::MetroLite) { 3.0 } else { 2.0 };
+    run_lab(cfg, rate, &ctx.obs)
 }
 
 /// If no chosen vantage satisfies `wanted` (a predicate on the profile's
@@ -513,10 +524,11 @@ mod tests {
     /// mixed old/new ultrapeer profile.
     #[test]
     fn scale_presets_form_an_increasing_ladder() {
-        let quick = LabConfig::at(Scale::Quick);
-        let sparse = LabConfig::at(Scale::Sparse);
-        let full = LabConfig::at(Scale::Full);
-        let metro = LabConfig::at(Scale::Metro);
+        let at = |scale| LabConfig::at(scale, DEFAULT_SEED);
+        let quick = at(Scale::Quick);
+        let sparse = at(Scale::Sparse);
+        let full = at(Scale::Full);
+        let metro = at(Scale::Metro);
         assert!(quick.ultrapeers < sparse.ultrapeers);
         assert!(sparse.ultrapeers < full.ultrapeers);
         assert!(quick.leaves < full.leaves);
@@ -528,24 +540,22 @@ mod tests {
             "Full runs a mixed ultrapeer profile"
         );
         assert!(full.mixed_profile_vantages, "Full vantage sets must span both profiles");
-        if std::env::var("REPRO_METRO_LITE").is_err() {
-            assert!(metro.ultrapeers >= 10 * full.ultrapeers, "Metro is an order past Full");
-            assert!(metro.leaves >= 10 * full.leaves, "Metro is an order past Full");
-        }
+        assert!(metro.ultrapeers >= 10 * full.ultrapeers, "Metro is an order past Full");
+        assert!(metro.leaves >= 10 * full.leaves, "Metro is an order past Full");
         assert!(metro.mixed_profile_vantages);
         // metro-lite is the metro code path shrunk to CI size: smaller than
         // Full, same mixed-profile shape as Metro.
-        let lite = LabConfig::at(Scale::MetroLite);
+        let lite = at(Scale::MetroLite);
         assert!(lite.ultrapeers < full.ultrapeers);
         assert!(lite.leaves < full.leaves);
         assert!(lite.mixed_profile_vantages, "metro-lite keeps the metro vantage shape");
-        assert_eq!(lite.ultrapeers, LabConfig::metro_lite(DEFAULT_SEED).ultrapeers);
+        assert_eq!(lite.ultrapeers, 300);
     }
 
     #[test]
     fn seeded_config_overrides_only_the_seed() {
-        let a = LabConfig::at(Scale::Sparse);
-        let b = LabConfig::at_seeded(Scale::Sparse, 999);
+        let a = LabConfig::at(Scale::Sparse, DEFAULT_SEED);
+        let b = LabConfig::at(Scale::Sparse, 999);
         assert_eq!(a.seed, DEFAULT_SEED);
         assert_eq!(b.seed, 999);
         assert_eq!(a.ultrapeers, b.ultrapeers);

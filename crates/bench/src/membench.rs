@@ -7,7 +7,7 @@
 //! `crates/bench/tests/mem_floor.rs` enforces the ≥ 3× share-state floor
 //! and `crates/bench/tests/qrp_floor.rs` the ≥ 10× QRP-plane floor.
 
-use crate::lab::{Lab, LabConfig, Scale};
+use crate::lab::{Lab, LabConfig, Scale, DEFAULT_SEED};
 use pier_gnutella::{LeafNode, QrpFilter, UltrapeerNode};
 use pier_netsim::HeapSize;
 
@@ -58,13 +58,7 @@ pub struct MemReport {
 /// Build the lab for `scale` and account its memory. Builds (and drops)
 /// the full simulation, so metro-scale calls need metro-scale RAM.
 pub fn measure(scale: Scale) -> MemReport {
-    measure_cfg(scale, LabConfig::at(scale))
-}
-
-/// [`measure`] with an explicit lab config (tests drive metro-lite through
-/// this without touching process-global env state).
-pub fn measure_cfg(scale: Scale, cfg: LabConfig) -> MemReport {
-    let lab = Lab::build(cfg);
+    let lab = Lab::build(LabConfig::at(scale, DEFAULT_SEED));
     let stats = lab.sim.mem_stats();
     let legacy_share_bytes: u64 = lab
         .handles

@@ -6,7 +6,6 @@
 
 use crate::sweep::SweepResult;
 use std::fmt::Display;
-use std::io::Write;
 use std::path::PathBuf;
 
 /// A simple result table: header + rows, printable and CSV-dumpable.
@@ -53,15 +52,13 @@ impl Table {
     /// Write as CSV into `results/<name>.csv` (relative to the workspace
     /// root when run via cargo, else the current directory).
     pub fn write_csv(&self, name: &str) -> std::io::Result<PathBuf> {
-        let dir = results_dir();
-        std::fs::create_dir_all(&dir)?;
-        let path = dir.join(format!("{name}.csv"));
-        let mut f = std::fs::File::create(&path)?;
-        writeln!(f, "{}", self.columns.join(","))?;
+        let mut csv = self.columns.join(",");
         for row in &self.rows {
-            writeln!(f, "{}", row.join(","))?;
+            csv.push('\n');
+            csv.push_str(&row.join(","));
         }
-        Ok(path)
+        csv.push('\n');
+        write_results_file(&format!("{name}.csv"), &csv)
     }
 }
 
@@ -169,14 +166,9 @@ pub fn sweep_json(result: &SweepResult) -> String {
 
 /// Write a sweep result as `results/sweep_<experiment>_<scale>.json`.
 pub fn write_sweep_json(result: &SweepResult) -> std::io::Result<PathBuf> {
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir)?;
     let name =
         format!("sweep_{}_{}.json", result.experiment.replace('-', "_"), result.scale.name());
-    let path = dir.join(name);
-    let mut file = std::fs::File::create(&path)?;
-    file.write_all(sweep_json(result).as_bytes())?;
-    Ok(path)
+    write_results_file(&name, &sweep_json(result))
 }
 
 /// Serialize a phase-profile snapshot (plus any per-shard kernel window
@@ -244,33 +236,13 @@ pub fn print_profile(obs: &pier_trace::Obs) {
     }
 }
 
-/// Write the profile as `results/profile_<experiment>_<scale>.json`.
-pub fn write_profile_json(
-    obs: &pier_trace::Obs,
-    experiment: &str,
-    scale: crate::Scale,
-) -> std::io::Result<Option<PathBuf>> {
-    let Some(json) = profile_json(obs) else { return Ok(None) };
+/// Write `contents` as `results/<name>`, returning the path.
+pub fn write_results_file(name: &str, contents: &str) -> std::io::Result<PathBuf> {
     let dir = results_dir();
     std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("profile_{}_{}.json", experiment.replace('-', "_"), scale.name()));
-    std::fs::write(&path, json)?;
-    Ok(Some(path))
-}
-
-/// Write the sampled query traces as
-/// `results/trace_<experiment>_<scale>.jsonl` (the `trace_report` input).
-pub fn write_trace_jsonl(
-    obs: &pier_trace::Obs,
-    experiment: &str,
-    scale: crate::Scale,
-) -> std::io::Result<Option<PathBuf>> {
-    let Some(tracer) = obs.tracer.as_ref() else { return Ok(None) };
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("trace_{}_{}.jsonl", experiment.replace('-', "_"), scale.name()));
-    std::fs::write(&path, tracer.to_jsonl())?;
-    Ok(Some(path))
+    let path = dir.join(name);
+    std::fs::write(&path, contents)?;
+    Ok(path)
 }
 
 /// `results/` next to the workspace root when available.
@@ -320,8 +292,15 @@ mod tests {
     }
 
     fn demo_sweep() -> SweepResult {
-        use crate::sweep::{run_sweep_with, Summary, SweepConfig};
-        run_sweep_with("demo", &SweepConfig::new(crate::Scale::Quick, 3, 2), |_, seed| {
+        use crate::sweep::{run_sweep_with, Summary, SweepConfig, DEFAULT_BASE_SEED};
+        let cfg = SweepConfig {
+            scale: crate::Scale::Quick,
+            trials: 3,
+            jobs: 2,
+            base_seed: DEFAULT_BASE_SEED,
+            shards: 1,
+        };
+        run_sweep_with("demo", &cfg, |_, seed| {
             let mut s = Summary::new();
             s.set("value", (seed % 97) as f64);
             s.set("constant", 1.5);

@@ -5,19 +5,20 @@
 //!
 //! The paper's claims are statistical, so a single run at a single seed
 //! can neither carry error bars nor distinguish a real effect from seed
-//! luck. Every experiment therefore exposes a `trial(scale, seed) ->
-//! Summary` entry point returning *structured* statistics (presentation
-//! lives in [`crate::output`]); this module fans trials out with
-//! `std::thread::scope` — each worker builds and runs its own `Lab`/`Sim`,
-//! so nothing inside a simulation needs to be `Send` — and reduces the
-//! per-trial summaries. Per-trial results depend only on `(scale, seed)`,
-//! never on `--jobs` or scheduling, which the determinism tests pin down.
+//! luck. Every experiment's `run` therefore returns *structured*
+//! statistics (a [`Summary`]) beside its tables; a trial is that run with
+//! `RunCtx::seed` set to the trial's master seed. This module fans trials
+//! out with `std::thread::scope` — each worker builds and runs its own
+//! `Lab`/`Sim`, so nothing inside a simulation needs to be `Send` — and
+//! reduces the per-trial summaries. Per-trial results depend only on
+//! `(scale, seed)`, never on `--jobs`, `--shards` or scheduling, which the
+//! determinism tests pin down.
 
-use crate::experiments::{
-    ablations, churn, fig8, figs13to15, figs4to7, figs9to12, horizon, sec5_posting, sec7_deploy,
-};
+use crate::experiments::Experiment;
 use crate::lab::Scale;
+use crate::RunCtx;
 use pier_netsim::derive_seed;
+use pier_trace::Obs;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -135,90 +136,6 @@ pub fn aggregate(trials: &[Summary]) -> Vec<AggregateStat> {
         .collect()
 }
 
-/// The sweepable experiments (everything `repro` can run that has a
-/// nontrivial random component).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Experiment {
-    Figs4to7,
-    Horizon,
-    Fig8,
-    Figs9to12,
-    Figs13to15,
-    Sec5Posting,
-    Ablations,
-    Sec7Deploy,
-    Churn,
-}
-
-impl Experiment {
-    pub const ALL: [Experiment; 9] = [
-        Experiment::Figs4to7,
-        Experiment::Horizon,
-        Experiment::Fig8,
-        Experiment::Figs9to12,
-        Experiment::Figs13to15,
-        Experiment::Sec5Posting,
-        Experiment::Ablations,
-        Experiment::Sec7Deploy,
-        Experiment::Churn,
-    ];
-
-    pub fn name(self) -> &'static str {
-        match self {
-            Experiment::Figs4to7 => "figs4to7",
-            Experiment::Horizon => "horizon",
-            Experiment::Fig8 => "fig8",
-            Experiment::Figs9to12 => "figs9to12",
-            Experiment::Figs13to15 => "figs13to15",
-            Experiment::Sec5Posting => "sec5-posting",
-            Experiment::Ablations => "ablations",
-            Experiment::Sec7Deploy => "sec7-deploy",
-            Experiment::Churn => "churn",
-        }
-    }
-
-    /// Parse an experiment id, accepting the same aliases `repro` accepts
-    /// for single runs.
-    pub fn parse(s: &str) -> Option<Experiment> {
-        match s {
-            "figs4to7" | "figs4-7" | "fig4" | "fig5" | "fig6" | "fig7" => {
-                Some(Experiment::Figs4to7)
-            }
-            "horizon" | "sparse" => Some(Experiment::Horizon),
-            "fig8" | "crawl" => Some(Experiment::Fig8),
-            "figs9to12" | "figs9-12" | "fig9" | "fig10" | "fig11" | "fig12" => {
-                Some(Experiment::Figs9to12)
-            }
-            "figs13to15" | "figs13-15" | "fig13" | "fig14" | "fig15" => {
-                Some(Experiment::Figs13to15)
-            }
-            "sec5-posting" => Some(Experiment::Sec5Posting),
-            "ablations" | "ablation-timeout" => Some(Experiment::Ablations),
-            "sec7-deploy" => Some(Experiment::Sec7Deploy),
-            "churn" => Some(Experiment::Churn),
-            _ => None,
-        }
-    }
-
-    /// Run one trial at `scale` with master seed `seed` and return its
-    /// structured statistics. Deterministic in `(scale, seed)` — `shards`
-    /// only changes how many kernel worker threads execute each simulation,
-    /// never any statistic (the analytic experiments ignore it).
-    pub fn trial(self, scale: Scale, seed: u64, shards: usize) -> Summary {
-        match self {
-            Experiment::Figs4to7 => figs4to7::trial(scale, seed, shards),
-            Experiment::Horizon => horizon::trial(scale, seed, shards),
-            Experiment::Fig8 => fig8::trial(scale, seed, shards),
-            Experiment::Figs9to12 => figs9to12::trial(scale, seed, shards),
-            Experiment::Figs13to15 => figs13to15::trial(scale, seed, shards),
-            Experiment::Sec5Posting => sec5_posting::trial(scale, seed, shards),
-            Experiment::Ablations => ablations::trial(scale, seed, shards),
-            Experiment::Sec7Deploy => sec7_deploy::trial(scale, seed, shards),
-            Experiment::Churn => churn::trial(scale, seed, shards),
-        }
-    }
-}
-
 /// Sweep parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct SweepConfig {
@@ -231,18 +148,6 @@ pub struct SweepConfig {
     /// `jobs` (total worker threads ≈ `jobs × shards`). Bit-identical
     /// results for any value.
     pub shards: usize,
-}
-
-impl SweepConfig {
-    pub fn new(scale: Scale, trials: usize, jobs: usize) -> SweepConfig {
-        SweepConfig { scale, trials, jobs, base_seed: DEFAULT_BASE_SEED, shards: 1 }
-    }
-
-    /// Set the per-trial kernel shard count (clamped to at least 1).
-    pub fn shards(mut self, shards: usize) -> SweepConfig {
-        self.shards = shards.max(1);
-        self
-    }
 }
 
 /// Base seed sweeps derive per-trial master seeds from unless overridden.
@@ -271,9 +176,10 @@ pub struct TrialResult {
 pub struct TrialTiming {
     pub trial: usize,
     pub wall_s: f64,
-    /// Kernel events per wall-second, when the trial reports an
-    /// `events_processed` statistic (`NaN` otherwise — analytic trials
-    /// have no kernel).
+    /// Kernel events per wall-second of the *whole* trial — network build
+    /// and warm-up included, so it understates the replay kernel's rate.
+    /// Derived from the trial's `events_processed` statistic (`NaN` when
+    /// there is none — analytic trials have no kernel).
     pub events_per_s: f64,
 }
 
@@ -291,10 +197,13 @@ pub struct SweepResult {
 }
 
 /// Sweep an experiment: N trials across J threads (each trial's kernel on
-/// `cfg.shards` more), aggregated.
-pub fn run_sweep(experiment: Experiment, cfg: &SweepConfig) -> SweepResult {
-    let shards = cfg.shards.max(1);
-    run_sweep_with(experiment.name(), cfg, |scale, seed| experiment.trial(scale, seed, shards))
+/// `cfg.shards` more), aggregated. Trials run uninstrumented: the phase
+/// profiler is single-threaded.
+pub fn run_sweep(experiment: &Experiment, cfg: &SweepConfig) -> SweepResult {
+    run_sweep_with(experiment.name, cfg, |scale, seed| {
+        let ctx = RunCtx { scale, seed: Some(seed), shards: cfg.shards, obs: Obs::default() };
+        (experiment.run)(&ctx).summary
+    })
 }
 
 /// Generic sweep driver over any `(scale, seed) -> Summary` trial
@@ -354,8 +263,13 @@ pub fn run_sweep_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::{find, REGISTRY};
     use pier_netsim::stream_rng;
     use rand::Rng;
+
+    fn quick(trials: usize, jobs: usize) -> SweepConfig {
+        SweepConfig { scale: Scale::Quick, trials, jobs, base_seed: DEFAULT_BASE_SEED, shards: 1 }
+    }
 
     #[test]
     fn summary_preserves_order_and_replaces() {
@@ -472,10 +386,8 @@ mod tests {
 
     #[test]
     fn parallel_sweep_is_bit_identical_to_sequential() {
-        let sequential =
-            run_sweep_with("synthetic", &SweepConfig::new(Scale::Quick, 8, 1), synthetic);
-        let parallel =
-            run_sweep_with("synthetic", &SweepConfig::new(Scale::Quick, 8, 4), synthetic);
+        let sequential = run_sweep_with("synthetic", &quick(8, 1), synthetic);
+        let parallel = run_sweep_with("synthetic", &quick(8, 4), synthetic);
         assert_eq!(sequential.trials, parallel.trials, "per-trial results must not depend on jobs");
         assert_eq!(sequential.trials.len(), 8);
         for (i, t) in sequential.trials.iter().enumerate() {
@@ -492,7 +404,7 @@ mod tests {
 
     #[test]
     fn jobs_clamped_to_trials() {
-        let r = run_sweep_with("synthetic", &SweepConfig::new(Scale::Quick, 2, 64), synthetic);
+        let r = run_sweep_with("synthetic", &quick(2, 64), synthetic);
         assert_eq!(r.jobs, 2);
         assert_eq!(r.trials.len(), 2);
     }
@@ -508,7 +420,7 @@ mod tests {
             s.set("events_processed", 1_000.0);
             s
         };
-        let r = run_sweep_with("synthetic", &SweepConfig::new(Scale::Quick, 4, 2), with_events);
+        let r = run_sweep_with("synthetic", &quick(4, 2), with_events);
         assert_eq!(r.timings.len(), r.trials.len());
         for (i, t) in r.timings.iter().enumerate() {
             assert_eq!(t.trial, r.trials[i].trial, "timing {i} must describe trial {i}");
@@ -519,18 +431,22 @@ mod tests {
             );
         }
         // And timings never leak into the bit-compared results.
-        let bare = run_sweep_with("synthetic", &SweepConfig::new(Scale::Quick, 2, 1), synthetic);
+        let bare = run_sweep_with("synthetic", &quick(2, 1), synthetic);
         assert!(bare.timings.iter().all(|t| t.events_per_s.is_nan()));
         assert_eq!(bare.trials[0].summary, synthetic(Scale::Quick, bare.trials[0].seed));
     }
 
     #[test]
     fn experiment_parse_round_trips() {
-        for e in Experiment::ALL {
-            assert_eq!(Experiment::parse(e.name()), Some(e));
+        let mut ids = std::collections::HashSet::new();
+        for e in REGISTRY {
+            for id in std::iter::once(&e.name).chain(e.aliases) {
+                assert!(ids.insert(*id), "id '{id}' registered twice");
+                assert_eq!(find(id).map(|f| f.name), Some(e.name));
+            }
         }
-        assert_eq!(Experiment::parse("fig5"), Some(Experiment::Figs4to7));
-        assert_eq!(Experiment::parse("crawl"), Some(Experiment::Fig8));
-        assert_eq!(Experiment::parse("nonsense"), None);
+        assert_eq!(find("fig5").map(|e| e.name), Some("figs4to7"));
+        assert_eq!(find("crawl").map(|e| e.name), Some("fig8"));
+        assert!(find("nonsense").is_none());
     }
 }

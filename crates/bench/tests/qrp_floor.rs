@@ -8,8 +8,8 @@
 //! Lab builds need optimized code and real RAM, so the test self-skips
 //! in debug builds and on low-memory hosts rather than flaking.
 
-use pier_bench::lab::{LabConfig, Scale, DEFAULT_SEED};
-use pier_bench::membench::measure_cfg;
+use pier_bench::lab::Scale;
+use pier_bench::membench::measure;
 
 /// `MemAvailable` from /proc/meminfo, in bytes (`None` off Linux).
 fn available_ram() -> Option<u64> {
@@ -33,7 +33,7 @@ fn metro_lite_qrp_plane_shrinks_at_least_10x() {
         }
     }
 
-    let r = measure_cfg(Scale::Metro, LabConfig::metro_lite(DEFAULT_SEED));
+    let r = measure(Scale::MetroLite);
     assert!(
         r.qrp_dedup > 1.0,
         "multihomed leaves must intern identical filters ({} refs, {} unique)",

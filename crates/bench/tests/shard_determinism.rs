@@ -10,19 +10,33 @@
 //! running whole trials); this one pins them against *kernel-level*
 //! parallelism (shard workers inside one simulation).
 
-use pier_bench::experiments::{churn, horizon};
-use pier_bench::lab::{LabConfig, DEFAULT_SEED};
-use pier_bench::sweep::{run_sweep, Experiment, SweepConfig};
-use pier_bench::Scale;
+use pier_bench::experiments::{churn, find, horizon};
+use pier_bench::lab::DEFAULT_SEED;
+use pier_bench::sweep::{run_sweep, Summary, SweepConfig, SweepResult, DEFAULT_BASE_SEED};
+use pier_bench::{Outcome, RunCtx, Scale};
+use pier_trace::Obs;
+
+/// `run` at `scale` with master seed `DEFAULT_SEED` on `shards` kernel
+/// shards: a sweep trial's summary.
+fn trial(run: fn(&RunCtx) -> Outcome, scale: Scale, shards: usize) -> Summary {
+    run(&RunCtx { seed: Some(DEFAULT_SEED), shards, ..RunCtx::new(scale) }).summary
+}
+
+/// Two quick-scale horizon trials on `jobs` threads × `shards` shards.
+fn horizon_sweep(jobs: usize, shards: usize) -> SweepResult {
+    let cfg =
+        SweepConfig { scale: Scale::Quick, trials: 2, jobs, base_seed: DEFAULT_BASE_SEED, shards };
+    run_sweep(find("horizon").expect("registered experiment"), &cfg)
+}
 
 /// The full Lab + replay path behind `horizon`: one-, two-, and four-shard
 /// kernels must reproduce identical summaries, bit for bit — every
 /// statistic, including total traffic and the kernel's own event count.
 #[test]
 fn horizon_trials_are_bit_identical_across_shard_counts() {
-    let base = horizon::trial(Scale::Quick, DEFAULT_SEED, 1);
+    let base = trial(horizon::run, Scale::Quick, 1);
     for shards in [2usize, 4] {
-        let sharded = horizon::trial(Scale::Quick, DEFAULT_SEED, shards);
+        let sharded = trial(horizon::run, Scale::Quick, shards);
         assert_eq!(base, sharded, "horizon trial diverged between 1 and {shards} kernel shards");
     }
     assert!(
@@ -42,11 +56,7 @@ fn metro_lite_horizon_is_bit_identical_across_shard_counts() {
         eprintln!("metro-lite determinism: skipped (needs --release; debug build is too slow)");
         return;
     }
-    let summary = |shards: usize| {
-        let mut cfg = LabConfig::metro_lite(DEFAULT_SEED);
-        cfg.shards = shards;
-        horizon::summarize(&horizon::collect_cfg(cfg, 3.0))
-    };
+    let summary = |shards: usize| trial(horizon::run, Scale::MetroLite, shards);
     let base = summary(1);
     for shards in [2usize, 4] {
         assert_eq!(
@@ -67,12 +77,28 @@ fn metro_lite_horizon_is_bit_identical_across_shard_counts() {
 /// the window barrier — results must still be bit-identical.
 #[test]
 fn churn_trials_are_bit_identical_across_shard_counts() {
-    let base = churn::trial(Scale::Quick, DEFAULT_SEED, 1);
+    let base = trial(churn::run, Scale::Quick, 1);
     for shards in [2usize, 4] {
-        let sharded = churn::trial(Scale::Quick, DEFAULT_SEED, shards);
+        let sharded = trial(churn::run, Scale::Quick, shards);
         assert_eq!(base, sharded, "churn trial diverged between 1 and {shards} kernel shards");
     }
     assert_eq!(base.get("norefresh_monotone"), Some(1.0));
+
+    // The same base run pins observability neutrality: with the phase
+    // profiler and kernel telemetry live (two shards, so the probe sees
+    // lockstep windows), churn's summary is unmoved.
+    let obs = Obs::configure(true, 0, false);
+    let ctx = RunCtx {
+        seed: Some(DEFAULT_SEED),
+        shards: 2,
+        obs: obs.clone(),
+        ..RunCtx::new(Scale::Quick)
+    };
+    assert_eq!(base, churn::run(&ctx).summary, "churn summary moved under observability");
+    assert!(
+        obs.kernel.as_ref().is_some_and(|k| !k.shard_stats().is_empty()),
+        "churn's simulations must carry the kernel probe"
+    );
 }
 
 /// Shards × jobs composition: a sweep running trials on parallel worker
@@ -80,8 +106,8 @@ fn churn_trials_are_bit_identical_across_shard_counts() {
 /// sequential sweep (jobs=1, shards=1) — trials, aggregates, and all.
 #[test]
 fn sharded_parallel_sweep_matches_sequential_unsharded_sweep() {
-    let sequential = run_sweep(Experiment::Horizon, &SweepConfig::new(Scale::Quick, 2, 1));
-    let composed = run_sweep(Experiment::Horizon, &SweepConfig::new(Scale::Quick, 2, 2).shards(2));
+    let sequential = horizon_sweep(1, 1);
+    let composed = horizon_sweep(2, 2);
     assert_eq!(
         sequential.trials, composed.trials,
         "jobs=2 × shards=2 must reproduce the jobs=1 × shards=1 sweep bit-for-bit"

@@ -9,15 +9,14 @@
 //! only reward a lie. CI runs this on multi-core runners in release mode.
 
 use pier_bench::experiments::horizon;
-use pier_bench::lab::DEFAULT_SEED;
-use pier_bench::Scale;
+use pier_bench::{RunCtx, Scale};
 use std::time::Instant;
 
 /// `(wall seconds, events processed)` for one seeded horizon replay.
 fn timed_replay(shards: usize) -> (f64, u64) {
     let t0 = Instant::now();
-    let data = horizon::collect_seeded(Scale::Quick, DEFAULT_SEED, shards);
-    (t0.elapsed().as_secs_f64(), data.events.processed)
+    let out = horizon::run(&RunCtx { shards, ..RunCtx::new(Scale::Quick) });
+    (t0.elapsed().as_secs_f64(), out.events.processed)
 }
 
 #[test]

@@ -4,16 +4,31 @@
 //! whole point is cross-trial statistics; that breaks silently if
 //! parallelism perturbs any trial.
 
-use pier_bench::sweep::{run_sweep, Experiment, SweepConfig};
-use pier_bench::Scale;
+use pier_bench::experiments::find;
+use pier_bench::sweep::{run_sweep, Summary, SweepConfig, SweepResult, DEFAULT_BASE_SEED};
+use pier_bench::{RunCtx, Scale};
+
+/// `trials` quick-scale trials of the registered experiment `name` on
+/// `jobs` worker threads.
+fn sweep(name: &str, trials: usize, jobs: usize) -> SweepResult {
+    let cfg =
+        SweepConfig { scale: Scale::Quick, trials, jobs, base_seed: DEFAULT_BASE_SEED, shards: 1 };
+    run_sweep(find(name).expect("registered experiment"), &cfg)
+}
+
+/// A direct quick-scale run of `name` with master seed `seed`.
+fn trial(name: &str, seed: u64) -> Summary {
+    let ctx = RunCtx { seed: Some(seed), ..RunCtx::new(Scale::Quick) };
+    (find(name).expect("registered experiment").run)(&ctx).summary
+}
 
 /// The full simulation path (Lab + replay) behind `figs4to7`/`horizon`:
 /// a parallel sweep must reproduce the sequential one bit-for-bit, and
 /// both must equal direct trial invocations.
 #[test]
 fn parallel_lab_sweep_matches_sequential() {
-    let parallel = run_sweep(Experiment::Horizon, &SweepConfig::new(Scale::Quick, 2, 2));
-    let sequential = run_sweep(Experiment::Horizon, &SweepConfig::new(Scale::Quick, 2, 1));
+    let parallel = sweep("horizon", 2, 2);
+    let sequential = sweep("horizon", 2, 1);
     assert_eq!(
         parallel.trials, sequential.trials,
         "per-trial metrics must be bit-identical regardless of --jobs"
@@ -21,7 +36,7 @@ fn parallel_lab_sweep_matches_sequential() {
     for t in &parallel.trials {
         assert_eq!(
             t.summary,
-            Experiment::Horizon.trial(Scale::Quick, t.seed, 1),
+            trial("horizon", t.seed),
             "trial {} must equal a direct run with its seed",
             t.trial
         );
@@ -41,8 +56,8 @@ fn parallel_lab_sweep_matches_sequential() {
 /// trial invocation (the acceptance criterion's reproducibility half).
 #[test]
 fn parallel_churn_sweep_matches_sequential() {
-    let parallel = run_sweep(Experiment::Churn, &SweepConfig::new(Scale::Quick, 2, 2));
-    let sequential = run_sweep(Experiment::Churn, &SweepConfig::new(Scale::Quick, 2, 1));
+    let parallel = sweep("churn", 2, 2);
+    let sequential = sweep("churn", 2, 1);
     assert_eq!(
         parallel.trials, sequential.trials,
         "churn trials must be bit-identical regardless of --jobs"
@@ -50,7 +65,7 @@ fn parallel_churn_sweep_matches_sequential() {
     let t0 = &parallel.trials[0];
     assert_eq!(
         t0.summary,
-        Experiment::Churn.trial(Scale::Quick, t0.seed, 1),
+        trial("churn", t0.seed),
         "a sweep trial must equal a direct run with its seed"
     );
     // The signature statistics exist and traffic varies across seeds.
@@ -68,8 +83,8 @@ fn parallel_churn_sweep_matches_sequential() {
 /// The model path (`figs9to12`, no simulator) at a jobs=4 fan-out.
 #[test]
 fn parallel_model_sweep_matches_sequential_at_jobs_4() {
-    let parallel = run_sweep(Experiment::Figs9to12, &SweepConfig::new(Scale::Quick, 4, 4));
-    let sequential = run_sweep(Experiment::Figs9to12, &SweepConfig::new(Scale::Quick, 4, 1));
+    let parallel = sweep("figs9to12", 4, 4);
+    let sequential = sweep("figs9to12", 4, 1);
     assert_eq!(parallel.trials, sequential.trials);
     assert_eq!(parallel.trials.len(), 4);
     // Aggregates agree too (they are derived from the same trials).

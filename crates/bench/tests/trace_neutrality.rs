@@ -13,9 +13,9 @@
 //!    rungs fast enough for the suite) and by a proptest over random
 //!    seeds on a small lab.
 
-use pier_bench::experiments::{figs4to7, horizon};
-use pier_bench::lab::{LabConfig, DEFAULT_SEED};
-use pier_bench::Scale;
+use pier_bench::experiments::{figs4to7, horizon, sec7_deploy};
+use pier_bench::lab::{run_lab, LabConfig, DEFAULT_SEED};
+use pier_bench::{RunCtx, Scale};
 use pier_trace::{check_traces, parse_jsonl, Obs, TraceCheck};
 use proptest::prelude::*;
 
@@ -56,26 +56,26 @@ fn assert_complete_flood_trees(checks: &[TraceCheck], expect: usize, what: &str)
 /// replay bit for bit — summary stats, fig4 shape, and raw traffic totals.
 #[test]
 fn quick_figs4to7_stats_are_bit_identical_with_observability_on() {
-    let base = figs4to7::collect_seeded(Scale::Quick, DEFAULT_SEED, 1);
+    let base = figs4to7::run(&RunCtx { seed: Some(DEFAULT_SEED), ..RunCtx::new(Scale::Quick) });
     let obs = Obs::configure(true, 8, false);
-    let observed = figs4to7::collect_seeded_obs(Scale::Quick, DEFAULT_SEED, 1, &obs);
+    let observed = figs4to7::run(&RunCtx {
+        seed: Some(DEFAULT_SEED),
+        obs: obs.clone(),
+        ..RunCtx::new(Scale::Quick)
+    });
 
-    let sb = figs4to7::summary_stats(&base);
-    let so = figs4to7::summary_stats(&observed);
-    for (name, b, o) in [
-        ("le10_single_pct", sb.le10_single_pct, so.le10_single_pct),
-        ("zero_single_pct", sb.zero_single_pct, so.zero_single_pct),
-        ("zero_union_pct", sb.zero_union_pct, so.zero_union_pct),
-        ("reduction_pct", sb.reduction_pct, so.reduction_pct),
-    ] {
+    let (sb, so) = (&base.summary, &observed.summary);
+    let stat = |s: &pier_bench::sweep::Summary, key: &str| s.get(key).expect("summary stat");
+    for name in ["le10_single_pct", "zero_single", "zero_union", "reduction_pct"] {
+        let (b, o) = (stat(sb, name), stat(so, name));
         assert_eq!(b.to_bits(), o.to_bits(), "{name} moved under observability: {b} vs {o}");
     }
-    let (b_small, b_large) = figs4to7::fig4_shape(&figs4to7::fig4_points(&base));
-    let (o_small, o_large) = figs4to7::fig4_shape(&figs4to7::fig4_points(&observed));
+    let (b_small, b_large) = (stat(sb, "fig4_small_result_rep"), stat(sb, "fig4_large_result_rep"));
+    let (o_small, o_large) = (stat(so, "fig4_small_result_rep"), stat(so, "fig4_large_result_rep"));
     assert_eq!(b_small.to_bits(), o_small.to_bits(), "fig4 small-result replication moved");
     assert_eq!(b_large.to_bits(), o_large.to_bits(), "fig4 large-result replication moved");
-    assert_eq!(base.metrics.total_messages, observed.metrics.total_messages);
-    assert_eq!(base.metrics.total_bytes, observed.metrics.total_bytes);
+    assert_eq!(stat(sb, "total_messages"), stat(so, "total_messages"));
+    assert_eq!(stat(sb, "total_bytes"), stat(so, "total_bytes"));
     assert_eq!(base.events.processed, observed.events.processed);
 
     // The same observed run must have produced 8 complete flood trees …
@@ -98,12 +98,28 @@ fn quick_figs4to7_stats_are_bit_identical_with_observability_on() {
 /// trees, and its per-profile statistics are unmoved by tracing.
 #[test]
 fn sparse_horizon_traces_are_complete_flood_trees() {
-    let base = horizon::trial(Scale::Sparse, DEFAULT_SEED, 1);
+    let ctx = RunCtx { seed: Some(DEFAULT_SEED), ..RunCtx::new(Scale::Sparse) };
+    let base = horizon::run(&ctx).summary;
     let obs = Obs::configure(false, 6, false);
-    let observed =
-        horizon::summarize(&horizon::collect_seeded_obs(Scale::Sparse, DEFAULT_SEED, 1, &obs));
+    let observed = horizon::run(&RunCtx { obs: obs.clone(), ..ctx }).summary;
     assert_eq!(base, observed, "sparse horizon summary moved under query tracing");
     assert_complete_flood_trees(&checks_of(&obs), 6, "sparse horizon");
+}
+
+/// The §7 deployment samples no queries, but its part-3 simulation carries
+/// the run's kernel probe: with profiling and kernel telemetry live, its
+/// summary is bit-identical to the inert run.
+#[test]
+fn quick_sec7_deploy_summary_is_bit_identical_with_observability_on() {
+    let ctx = RunCtx { seed: Some(DEFAULT_SEED), ..RunCtx::new(Scale::Quick) };
+    let observed_ctx = RunCtx { obs: Obs::configure(true, 0, false), ..ctx.clone() };
+    // The two runs share nothing, so they run side by side.
+    let (base, observed) = std::thread::scope(|s| {
+        let base = s.spawn(|| sec7_deploy::run(&ctx).summary);
+        let observed = sec7_deploy::run(&observed_ctx).summary;
+        (base.join().expect("inert run panicked"), observed)
+    });
+    assert_eq!(base, observed, "sec7-deploy summary moved under observability");
 }
 
 /// A lab small enough to replay hundreds of times: the well-formedness
@@ -131,7 +147,7 @@ proptest! {
         // tree property has to survive overlapping floods and duplicate
         // drops, which dense tracing exercises hardest.
         let obs = Obs::configure(false, usize::MAX, false);
-        let _ = horizon::collect_cfg_obs(tiny_lab(seed), 2.0, &obs);
+        let _ = run_lab(tiny_lab(seed), 2.0, &obs);
         let checks = checks_of(&obs);
         // One trace per (query, vantage) injection.
         prop_assert_eq!(checks.len(), 10 * 3);

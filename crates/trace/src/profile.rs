@@ -118,12 +118,40 @@ struct ShardSlot {
 struct ProgressState {
     /// Sim-time target in µs, for the ETA estimate (0 = unknown).
     target_us: u64,
-    started: Instant,
+    /// When the target was announced, and the sim time then: the ETA
+    /// extrapolates the sim-time rate since that moment.
+    target_set: Instant,
+    target_from_us: u64,
+    /// The previous heartbeat (or target announcement) and the event count
+    /// then: the rate covers only the window since.
     last_print: Instant,
     last_events: u64,
-    /// Running totals fed by `window_done` (sharded) or `progress` (single).
+    /// Latest values fed by `window_done` (sharded) or `progress` (single).
     events: u64,
     sim_now_us: u64,
+}
+
+/// One heartbeat line: the rate over the last window, the ETA from the
+/// sim-time rate since the target was announced. Pure, so the arithmetic is
+/// testable without a clock.
+fn heartbeat_line(p: &ProgressState, window_s: f64, since_target_s: f64) -> String {
+    let window_events = p.events.saturating_sub(p.last_events);
+    let rate = window_events as f64 / window_s.max(1e-9);
+    let advanced = p.sim_now_us.saturating_sub(p.target_from_us);
+    let eta = if p.target_us > p.sim_now_us && advanced > 0 {
+        let sim_rate = advanced as f64 / since_target_s.max(1e-9); // sim-µs per wall-second
+        format!("  eta {:.0}s", (p.target_us - p.sim_now_us) as f64 / sim_rate)
+    } else {
+        String::new()
+    };
+    format!(
+        "[progress] sim {:.1}s/{:.1}s  {:.2}M events  {:.2}M ev/s{}",
+        p.sim_now_us as f64 / 1e6,
+        p.target_us as f64 / 1e6,
+        p.events as f64 / 1e6,
+        rate / 1e6,
+        eta
+    )
 }
 
 #[derive(Default)]
@@ -149,7 +177,8 @@ impl KernelTelemetry {
             let now = Instant::now();
             kt.inner.lock().expect("telemetry poisoned").progress = Some(ProgressState {
                 target_us: 0,
-                started: now,
+                target_set: now,
+                target_from_us: 0,
                 last_print: now,
                 last_events: 0,
                 events: 0,
@@ -160,10 +189,16 @@ impl KernelTelemetry {
     }
 
     /// Announce the sim-time deadline of the upcoming run so the heartbeat
-    /// can print an ETA.
+    /// can print an ETA. Starts a fresh rate window: the run's first
+    /// heartbeat must not average over whatever came before it.
     pub fn set_progress_target(&self, target_us: u64) {
         if let Some(p) = &mut self.inner.lock().expect("telemetry poisoned").progress {
+            let now = Instant::now();
             p.target_us = target_us;
+            p.target_set = now;
+            p.target_from_us = p.sim_now_us;
+            p.last_print = now;
+            p.last_events = p.events;
         }
     }
 
@@ -173,29 +208,16 @@ impl KernelTelemetry {
         g.shards.iter().map(|(ix, s)| (*ix, s.stats)).collect()
     }
 
+    /// Record the latest sim time and event count (a new simulation starts
+    /// both over) and print a heartbeat once a window has elapsed.
     fn heartbeat(p: &mut ProgressState, now_us: u64, events: u64) {
-        p.sim_now_us = p.sim_now_us.max(now_us);
-        p.events = p.events.max(events);
-        if p.last_print.elapsed().as_secs_f64() < HEARTBEAT_SECS {
+        p.sim_now_us = now_us;
+        p.events = events;
+        let window_s = p.last_print.elapsed().as_secs_f64();
+        if window_s < HEARTBEAT_SECS {
             return;
         }
-        let wall = p.started.elapsed().as_secs_f64().max(1e-9);
-        let rate = p.events as f64 / wall;
-        let eta = if p.target_us > p.sim_now_us && p.sim_now_us > 0 {
-            let sim_rate = p.sim_now_us as f64 / wall; // sim-µs per wall-second
-            let rem = (p.target_us - p.sim_now_us) as f64 / sim_rate.max(1e-9);
-            format!("  eta {rem:.0}s")
-        } else {
-            String::new()
-        };
-        eprintln!(
-            "[progress] sim {:.1}s/{:.1}s  {:.2}M events  {:.2}M ev/s{}",
-            p.sim_now_us as f64 / 1e6,
-            p.target_us as f64 / 1e6,
-            p.events as f64 / 1e6,
-            rate / 1e6,
-            eta
-        );
+        eprintln!("{}", heartbeat_line(p, window_s, p.target_set.elapsed().as_secs_f64()));
         p.last_print = Instant::now();
         p.last_events = p.events;
     }
@@ -286,6 +308,46 @@ mod tests {
         let snap = prof.snapshot();
         assert_eq!(snap.len(), 1);
         assert_eq!(snap[0].1.count, 3);
+    }
+
+    fn progress_at(sim_now_us: u64, events: u64, last_events: u64) -> ProgressState {
+        let now = Instant::now();
+        ProgressState {
+            target_us: 100_000_000,
+            target_set: now,
+            target_from_us: 10_000_000,
+            last_print: now,
+            last_events,
+            events,
+            sim_now_us,
+        }
+    }
+
+    /// The rate covers only the last window, and the ETA extrapolates the
+    /// sim-time rate since the target was set — not since process start.
+    #[test]
+    fn heartbeat_rate_is_windowed_and_eta_uses_the_target_rate() {
+        // 4M events in the window of 2 s: 2M ev/s, however many came before.
+        // 30 s of sim time since the target took 10 s of wall: 3 sim-s per
+        // wall-s, so the remaining 60 sim-s take 20 s.
+        let p = progress_at(40_000_000, 10_000_000, 6_000_000);
+        let line = heartbeat_line(&p, 2.0, 10.0);
+        assert!(line.contains("2.00M ev/s"), "{line}");
+        assert!(line.contains("eta 20s"), "{line}");
+        assert!(line.contains("sim 40.0s/100.0s"), "{line}");
+        assert!(line.contains("10.00M events"), "{line}");
+    }
+
+    #[test]
+    fn heartbeat_omits_eta_until_sim_time_advances_past_the_target_start() {
+        let line = heartbeat_line(&progress_at(10_000_000, 5, 0), 2.0, 1.0);
+        assert!(!line.contains("eta"), "no sim progress yet: {line}");
+        let past = heartbeat_line(&progress_at(200_000_000, 5, 0), 2.0, 1.0);
+        assert!(!past.contains("eta"), "target already reached: {past}");
+        // A new simulation restarts the event count: the window never
+        // goes negative.
+        let restarted = heartbeat_line(&progress_at(20_000_000, 5, 1_000), 2.0, 1.0);
+        assert!(restarted.contains("0.00M ev/s"), "{restarted}");
     }
 
     #[test]

@@ -67,8 +67,8 @@ fn same_master_seed_is_bit_reproducible() {
 /// Build the sparse lab preset and drive a short query workload through
 /// it, returning the full metrics snapshot.
 fn sparse_run_and_snapshot() -> Vec<(&'static str, u64, u64)> {
-    use pier_bench::lab::{Lab, LabConfig, Scale};
-    let mut lab = Lab::build(LabConfig::at(Scale::Sparse));
+    use pier_bench::lab::{Lab, LabConfig, Scale, DEFAULT_SEED};
+    let mut lab = Lab::build(LabConfig::at(Scale::Sparse, DEFAULT_SEED));
     let vantages = lab.vantages.clone();
     for (i, &v) in vantages.iter().enumerate().take(6) {
         let terms = lab.trace.queries[i].text();
@@ -107,9 +107,10 @@ fn sparse_preset_is_bit_reproducible() {
 fn figs4to7_quick_summary_matches_golden_values() {
     use pier_bench::experiments::figs4to7;
     use pier_bench::lab::DEFAULT_SEED;
-    use pier_bench::Scale;
+    use pier_bench::{RunCtx, Scale};
 
-    let summary = figs4to7::trial(Scale::Quick, DEFAULT_SEED, 1);
+    let summary =
+        figs4to7::run(&RunCtx { seed: Some(DEFAULT_SEED), ..RunCtx::new(Scale::Quick) }).summary;
     let golden: [(&str, f64); 8] = [
         ("le10_single_pct", 43.9375),
         ("zero_single", 13.6875),
