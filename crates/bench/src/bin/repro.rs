@@ -16,7 +16,7 @@
 //! ```
 //!
 //! Every id resolves through `pier_bench::experiments::REGISTRY`, the one
-//! table `repro`, `repro all`, `repro sweep` and the figures bench share.
+//! table `repro`, `repro all` and `repro sweep` share.
 //! Any argument that is neither a known flag nor the experiment id exits
 //! with status 2 and the usage.
 //!

@@ -1,9 +1,8 @@
-//! Command-line parsing for the harness bins (`repro`, `shard_bench`,
-//! `mem_bench`). Flags are taken out of the argument list by name, at any
-//! position; whatever no flag claims must be exactly what the command
-//! expects. A missing or bad value, a repeated flag and an unknown argument
-//! are all errors, so a mistyped flag can never run a different experiment
-//! than the one asked for.
+//! Command-line parsing for `repro`. Flags are taken out of the argument
+//! list by name, at any position; whatever no flag claims must be exactly
+//! what the command expects. A missing or bad value, a repeated flag and an
+//! unknown argument are all errors, so a mistyped flag can never run a
+//! different experiment than the one asked for.
 
 use crate::experiments::{self, Experiment};
 use crate::lab::Scale;

@@ -1,5 +1,5 @@
 //! One module per reproduced experiment, and the registry that `repro`,
-//! `repro sweep` and the figures bench iterate. See DESIGN.md §2 for the
+//! `repro all` and `repro sweep` iterate. See DESIGN.md §2 for the
 //! experiment index.
 
 pub mod ablations;

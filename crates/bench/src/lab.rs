@@ -16,7 +16,7 @@ use pier_workload::{Catalog, CatalogConfig, Evaluator, Query, QueryConfig, Query
 use std::collections::HashSet;
 use std::sync::Arc;
 
-/// Experiment scale. `Quick` keeps `cargo bench` under a few minutes;
+/// Experiment scale. `Quick` keeps `repro all` under a few minutes;
 /// `Sparse` is a larger, sparsely-connected topology where even a
 /// 32-neighbor vantage's dynamic query covers only part of the network
 /// (the paper's horizon effect); `Full` approaches the paper's magnitudes

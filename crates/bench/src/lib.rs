@@ -23,9 +23,13 @@
 //!
 //! Every experiment is one row of [`experiments::REGISTRY`]: a name, its
 //! aliases, and one `run(&RunCtx) -> Outcome` function. `repro`, `repro
-//! all`, `repro sweep` and the figures bench all iterate that table. See
-//! [`sweep`] for the trial/aggregation machinery and [`output`] for
-//! table/CSV/JSON emission.
+//! all` and `repro sweep` all iterate that table. See [`sweep`] for the
+//! trial/aggregation machinery and [`output`] for table/CSV/JSON emission.
+//!
+//! [`floodbench`], [`qrpbench`] and [`membench`] are the fixtures behind
+//! the floor tests in `crates/bench/tests/`, which gate the hot paths
+//! against the reference implementations they replaced. Performance is
+//! measured by the separate `perfbench` package (`perfbench/README.md`).
 
 pub mod cli;
 pub mod experiments;

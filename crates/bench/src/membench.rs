@@ -1,9 +1,8 @@
-//! Memory accounting for a built lab: bytes/node by subsystem, plus the
+//! Memory accounting for a built lab: bytes by subsystem, plus the
 //! before/after comparisons for leaf share state (the shared-catalog diet)
 //! and the QRP filter plane (sparse interned filters vs per-leaf dense
 //! tables).
 //!
-//! The `mem_bench` bin drives this per scale and writes `BENCH_mem.json`;
 //! `crates/bench/tests/mem_floor.rs` enforces the ≥ 3× share-state floor
 //! and `crates/bench/tests/qrp_floor.rs` the ≥ 10× QRP-plane floor.
 
@@ -13,13 +12,11 @@ use pier_netsim::HeapSize;
 
 /// One scale's memory measurements.
 pub struct MemReport {
-    pub scale: Scale,
     pub nodes: usize,
     /// (subsystem label, total bytes across all nodes).
     pub by_subsystem: Vec<(&'static str, u64)>,
     pub kernel_bytes: u64,
     pub total_bytes: u64,
-    pub bytes_per_node: f64,
     /// The one process-wide catalog copy (metas + names + token arena).
     pub catalog_bytes: u64,
     /// Per-leaf share state under the columnar layout (`Box<[FileId]>`
@@ -90,12 +87,10 @@ pub fn measure(scale: Scale) -> MemReport {
     let qrp_reduction = legacy_qrp_bytes as f64 / (up_qrp_bytes + qrp_catalog_bytes).max(1) as f64;
 
     MemReport {
-        scale,
         nodes: stats.nodes,
         by_subsystem: stats.subsystems.iter().collect(),
         kernel_bytes: stats.kernel_bytes,
         total_bytes: stats.total_bytes() + catalog_bytes + qrp_catalog_bytes,
-        bytes_per_node: stats.bytes_per_node(),
         catalog_bytes,
         share_bytes,
         legacy_share_bytes,
@@ -111,39 +106,13 @@ pub fn measure(scale: Scale) -> MemReport {
     }
 }
 
-impl MemReport {
-    /// Render this report as one JSON object (manual, like the other
-    /// bench bins — no serde dependency in the output path).
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("  {\n");
-        s.push_str(&format!("    \"scale\": \"{}\",\n", self.scale.name()));
-        s.push_str(&format!("    \"nodes\": {},\n", self.nodes));
-        s.push_str(&format!("    \"bytes_per_node\": {:.1},\n", self.bytes_per_node));
-        s.push_str(&format!("    \"kernel_bytes\": {},\n", self.kernel_bytes));
-        s.push_str(&format!("    \"total_bytes\": {},\n", self.total_bytes));
-        s.push_str(&format!("    \"catalog_bytes\": {},\n", self.catalog_bytes));
-        s.push_str(&format!("    \"leaf_share_bytes\": {},\n", self.share_bytes));
-        s.push_str(&format!("    \"leaf_share_bytes_legacy\": {},\n", self.legacy_share_bytes));
-        s.push_str(&format!("    \"leaf_share_reduction\": {:.2},\n", self.share_reduction));
-        s.push_str(&format!(
-            "    \"leaf_share_reduction_per_leaf\": {:.2},\n",
-            self.per_leaf_reduction
-        ));
-        s.push_str(&format!("    \"qrp_refs\": {},\n", self.qrp_refs));
-        s.push_str(&format!("    \"qrp_unique\": {},\n", self.qrp_unique));
-        s.push_str(&format!("    \"qrp_catalog_bytes\": {},\n", self.qrp_catalog_bytes));
-        s.push_str(&format!("    \"up_qrp_bytes\": {},\n", self.up_qrp_bytes));
-        s.push_str(&format!("    \"qrp_bytes_legacy\": {},\n", self.legacy_qrp_bytes));
-        s.push_str(&format!("    \"qrp_dedup\": {:.2},\n", self.qrp_dedup));
-        s.push_str(&format!("    \"qrp_reduction\": {:.2},\n", self.qrp_reduction));
-        s.push_str("    \"by_subsystem\": {\n");
-        for (i, (name, bytes)) in self.by_subsystem.iter().enumerate() {
-            let comma = if i + 1 == self.by_subsystem.len() { "" } else { "," };
-            s.push_str(&format!("      \"{name}\": {bytes}{comma}\n"));
-        }
-        s.push_str("    }\n  }");
-        s
-    }
+/// `MemAvailable` from /proc/meminfo, in bytes (`None` off Linux). The
+/// memory-hungry floor tests skip on hosts with less than they need.
+pub fn available_ram() -> Option<u64> {
+    let text = std::fs::read_to_string("/proc/meminfo").ok()?;
+    let line = text.lines().find(|l| l.starts_with("MemAvailable:"))?;
+    let kib: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kib * 1024)
 }
 
 #[cfg(test)]
@@ -171,7 +140,5 @@ mod tests {
             r.legacy_qrp_bytes > r.up_qrp_bytes,
             "a dense table per entry must cost more than the entries alone"
         );
-        assert!(r.to_json().contains("\"scale\": \"quick\""));
-        assert!(r.to_json().contains("\"qrp_reduction\""));
     }
 }

@@ -1,6 +1,5 @@
-//! QRP-plane micro-benchmark: filter build cost, last-hop match
-//! throughput, and bytes/leaf — sparse position lists vs the dense bit
-//! tables they replaced.
+//! QRP-plane micro-benchmark: last-hop match throughput and bytes/leaf —
+//! sparse position lists vs the dense bit tables they replaced.
 //!
 //! The fixture is a fleet of [`UPS`] ultrapeers each holding
 //! [`LEAVES_PER_UP`] leaf filters (shares drawn from a shared vocabulary
@@ -13,7 +12,6 @@
 //! same term sets, and the benchmark asserts they forward the *same*
 //! queries to the *same* leaves before timing anything.
 //!
-//! The `qrp_bench` bin drives this and writes `BENCH_qrp.json`;
 //! `crates/bench/tests/qrp_perf.rs` enforces the match-throughput and
 //! bytes/leaf floors.
 
@@ -83,18 +81,11 @@ pub const QUERIES: usize = 256;
 const VOCAB: usize = 4_000;
 
 /// One scale-free measurement of the two planes. The `_sparse` numbers
-/// are this PR's plane (position lists + summary bitmap, one probe per
+/// are the current plane (position lists + summary bitmap, one probe per
 /// query); the `_dense` numbers are the reconstructed legacy plane (flat
 /// bit tables, positions recomputed per pair).
 #[derive(Clone, Copy, Debug)]
 pub struct QrpReport {
-    pub ups: usize,
-    /// Total leaf filters across the fleet.
-    pub leaves: usize,
-    pub queries: usize,
-    /// ns to build one leaf filter from its term set.
-    pub build_ns_sparse: f64,
-    pub build_ns_dense: f64,
     /// ns for one `matches_all` over one (query, leaf filter) pair.
     pub match_ns_sparse: f64,
     pub match_ns_dense: f64,
@@ -186,28 +177,6 @@ fn min_ns_pair(
     (s, l)
 }
 
-fn build_sparse(w: &Workload) -> Vec<QrpFilter> {
-    w.shares
-        .iter()
-        .map(|ids| {
-            let mut f = QrpFilter::with_defaults();
-            f.insert_ids(ids);
-            f
-        })
-        .collect()
-}
-
-fn build_legacy(w: &Workload) -> Vec<LegacyFilter> {
-    w.shares
-        .iter()
-        .map(|ids| {
-            let mut f = LegacyFilter::with_defaults();
-            f.insert_ids(ids);
-            f
-        })
-        .collect()
-}
-
 /// Build the match fixture with *scattered* heap layout: filters are
 /// allocated in shuffled order, each behind its own box, so logically
 /// adjacent filters are not heap neighbors. This is the layout the live
@@ -278,21 +247,6 @@ pub fn measure(seed: u64) -> QrpReport {
     let forwards = match_pass(&sparse, &w.queries);
     assert_eq!(forwards, match_pass_legacy(&legacy, &w.queries), "planes must forward identically");
 
-    let build_rounds = 2u64;
-    let (build_ns_sparse, build_ns_dense) = min_ns_pair(
-        build_rounds * LEAVES as u64,
-        |iters| {
-            for _ in 0..iters / LEAVES as u64 {
-                black_box(build_sparse(&w));
-            }
-        },
-        |iters| {
-            for _ in 0..iters / LEAVES as u64 {
-                black_box(build_legacy(&w));
-            }
-        },
-    );
-
     let pairs = (QUERIES * LEAVES_PER_UP) as u64;
     let match_rounds = 48u64;
     let (match_ns_sparse, match_ns_dense) = min_ns_pair(
@@ -315,11 +269,6 @@ pub fn measure(seed: u64) -> QrpReport {
         legacy.iter().map(|f| f.heap_bytes()).sum::<usize>() as f64 / LEAVES as f64;
 
     QrpReport {
-        ups: UPS,
-        leaves: LEAVES,
-        queries: QUERIES,
-        build_ns_sparse,
-        build_ns_dense,
         match_ns_sparse,
         match_ns_dense,
         bytes_per_leaf_sparse,
@@ -327,28 +276,6 @@ pub fn measure(seed: u64) -> QrpReport {
         bytes_reduction: bytes_per_leaf_dense / bytes_per_leaf_sparse.max(1.0),
         match_speedup: match_ns_dense / match_ns_sparse.max(1e-9),
         forwards,
-    }
-}
-
-impl QrpReport {
-    /// Manual JSON (the bench-bin convention — no serde in the output
-    /// path).
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str(&format!("  \"ups\": {},\n", self.ups));
-        s.push_str(&format!("  \"leaves\": {},\n", self.leaves));
-        s.push_str(&format!("  \"queries\": {},\n", self.queries));
-        s.push_str(&format!("  \"build_ns_sparse\": {:.1},\n", self.build_ns_sparse));
-        s.push_str(&format!("  \"build_ns_dense\": {:.1},\n", self.build_ns_dense));
-        s.push_str(&format!("  \"match_ns_sparse\": {:.2},\n", self.match_ns_sparse));
-        s.push_str(&format!("  \"match_ns_dense\": {:.2},\n", self.match_ns_dense));
-        s.push_str(&format!("  \"match_speedup\": {:.2},\n", self.match_speedup));
-        s.push_str(&format!("  \"bytes_per_leaf_sparse\": {:.0},\n", self.bytes_per_leaf_sparse));
-        s.push_str(&format!("  \"bytes_per_leaf_dense\": {:.0},\n", self.bytes_per_leaf_dense));
-        s.push_str(&format!("  \"bytes_reduction\": {:.1},\n", self.bytes_reduction));
-        s.push_str(&format!("  \"forwards\": {}\n", self.forwards));
-        s.push('}');
-        s
     }
 }
 

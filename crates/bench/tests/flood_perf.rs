@@ -2,8 +2,7 @@
 //! hop through the interned data plane (`Arc<[TermId]>` payloads, cached
 //! QRP hashes, sorted-slice matching) must run at least 2× the throughput
 //! of the pre-interning string plane it replaced, at sparse-preset
-//! magnitudes. (Full numbers live in `BENCH_flood.json`, regenerated by
-//! the `flood_bench` binary.)
+//! magnitudes.
 
 use pier_bench::floodbench::{measure_pair, sparse_workload};
 

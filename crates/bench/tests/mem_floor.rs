@@ -1,21 +1,13 @@
 //! The memory-diet floor: the columnar shared-catalog layout must keep
 //! leaf share state at least 3× smaller than the legacy per-leaf owned
-//! layout (`BENCH_mem.json`'s `leaf_share_reduction_per_leaf`).
+//! layout (`MemReport::per_leaf_reduction`).
 //!
 //! Building even the sparse lab is slow without optimizations and needs
 //! real RAM, so the test self-skips in debug builds and on low-memory
 //! hosts rather than flaking.
 
 use pier_bench::lab::Scale;
-use pier_bench::membench::measure;
-
-/// `MemAvailable` from /proc/meminfo, in bytes (`None` off Linux).
-fn available_ram() -> Option<u64> {
-    let text = std::fs::read_to_string("/proc/meminfo").ok()?;
-    let line = text.lines().find(|l| l.starts_with("MemAvailable:"))?;
-    let kib: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kib * 1024)
-}
+use pier_bench::membench::{available_ram, measure};
 
 #[test]
 fn leaf_share_state_shrinks_at_least_3x() {

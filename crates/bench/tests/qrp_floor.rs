@@ -1,7 +1,7 @@
 //! The QRP plane at lab scale: building the metro-lite lab, the
 //! ultrapeers' interned sparse filters (entries + their one shared
 //! catalog copy) must undercut the legacy dense-table-per-entry layout
-//! by ≥ 10× (`BENCH_mem.json`'s `qrp_reduction`). This is the knob that
+//! by ≥ 10× (`MemReport::qrp_reduction`). This is the knob that
 //! unlocks the true metro rung — at 100k ultrapeers the legacy plane is
 //! ~16 GB of filter tables alone.
 //!
@@ -9,15 +9,7 @@
 //! in debug builds and on low-memory hosts rather than flaking.
 
 use pier_bench::lab::Scale;
-use pier_bench::membench::measure;
-
-/// `MemAvailable` from /proc/meminfo, in bytes (`None` off Linux).
-fn available_ram() -> Option<u64> {
-    let text = std::fs::read_to_string("/proc/meminfo").ok()?;
-    let line = text.lines().find(|l| l.starts_with("MemAvailable:"))?;
-    let kib: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kib * 1024)
-}
+use pier_bench::membench::{available_ram, measure};
 
 #[test]
 fn metro_lite_qrp_plane_shrinks_at_least_10x() {

@@ -1,6 +1,6 @@
 //! The QRP filter-plane floor: the sparse position-list representation
 //! must match queries at least as fast as the dense bit tables it
-//! replaced (`BENCH_qrp.json`'s `match_speedup`) while cutting heap
+//! replaced (`QrpReport::match_speedup`) while cutting heap
 //! bytes per leaf ≥ 10×. Both planes are built from identical term sets
 //! and the bench asserts identical forwarding before any timing, so the
 //! floor compares equal work.
@@ -10,15 +10,8 @@
 //! so it self-skips in debug builds and on low-memory hosts.
 
 use pier_bench::lab::DEFAULT_SEED;
+use pier_bench::membench::available_ram;
 use pier_bench::qrpbench;
-
-/// `MemAvailable` from /proc/meminfo, in bytes (`None` off Linux).
-fn available_ram() -> Option<u64> {
-    let text = std::fs::read_to_string("/proc/meminfo").ok()?;
-    let line = text.lines().find(|l| l.starts_with("MemAvailable:"))?;
-    let kib: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kib * 1024)
-}
 
 #[test]
 fn sparse_plane_matches_no_slower_and_10x_smaller() {

@@ -1,7 +1,7 @@
 //! Acceptance floor for the sharded kernel: on a host with ≥ 4 cores, the
 //! horizon replay on a 4-shard kernel must run at least 1.5× faster than
-//! the same replay on 1 shard. (Full numbers live in `BENCH_shard.json`,
-//! regenerated by the `shard_bench` binary.)
+//! the same replay on 1 shard. (Shard speedups are measured by
+//! `perfbench`; see `perfbench/README.md`.)
 //!
 //! On hosts with fewer than 4 cores the test prints a skip notice and
 //! passes: shard workers are real OS threads, so a wall-clock speedup is

@@ -231,8 +231,8 @@ impl FileStore {
     /// What the pre-catalog layout would have charged this node for the
     /// same share: a `FileMeta` (with its own `Arc<str>` name allocation)
     /// and a `Box<[TermId]>` token set per file, plus the `Vec` spines and
-    /// the token-union cache. This is the "before" of `mem_bench`'s
-    /// before-vs-after reduction floor.
+    /// the token-union cache. This is the "before" of the `mem_floor`
+    /// test's before-vs-after reduction floor.
     pub fn legacy_heap_bytes(&self) -> usize {
         let per_file: usize = self
             .files
